@@ -8,14 +8,14 @@ highest one.  This demo shows both phenomena side by side.
 """
 
 from ospd import make_alphabet, shape_plan, explore
-from ospd.crystal import f_reachable, is_genuine_highest, plan_weight, _key
+from ospd.crystal import f_reachable, is_genuine_highest, plan_weight
 from ospd.osptab import highest_weight_tuple
 
 A = make_alphabet("super", 2, 2)
 plan = shape_plan((1, 1), 2, A)
 graph = explore(plan, A, "super", max_boxes=8)
 H = highest_weight_tuple(plan, A, "super")
-hid = graph.index()[_key(H)]
+hid = graph.index()[H]
 
 print("plan lambda=(1,1), ell=2 over", A, "bounded at 8 boxes")
 print("vertices:", len(graph.vertices))

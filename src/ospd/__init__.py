@@ -13,9 +13,8 @@ from .osptab import (BarPair, OspPair, OspTableauD, RejectError, ShapePlan,
                      SpinColumn, classify_pair, enumerate_tableaux,
                      highest_weight_tuple, is_admissible, lr_split,
                      make_bar_pair, shape_plan, star_split, validate)
-from .signature import Signature, gl_E, gl_F, reduce, sigma, sigma_pair
-from .tableau import (BiwordMatrix, SkewTableau, insert_letter, inverse_rsk,
-                      is_semistandard, make_matrix, make_skew, rsk)
+from .signature import Signature, reduce, sigma_pair
+from .tableau import BiwordMatrix, insert_letter, inverse_rsk, make_matrix, rsk
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

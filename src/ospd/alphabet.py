@@ -203,12 +203,3 @@ def simple_root_delta(alphabet, index):
         counts[index.chain] -= 1
     return Weight(0, tuple(counts))
 
-
-def beta0_pairing(alphabet, weight):
-    """<beta_0^vee, weight> for the super isotropic color: the coefficient of
-    delta_{b1} plus the coefficient of delta_{1/2}."""
-    m = alphabet.m
-    total = weight.counts[m - 1]
-    if m < alphabet.size:
-        total += weight.counts[m]
-    return total

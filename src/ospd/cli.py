@@ -11,13 +11,18 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import character, crystal, osptab
 from .alphabet import make_alphabet
-from .osptab import MUTATIONS, RejectError
+from .osptab import RejectError
 
 USAGE_ERROR = 2
+
+# fault injection for ``verify --mutate``: name -> (module, attribute,
+# replacement), patched in for the battery only
+FAULTS = {
+    "flip-adm-i": (osptab, "_height_ok", lambda height, bound: height >= bound),
+}
 
 
 def _parse_partition(text):
@@ -31,26 +36,35 @@ def _parse_partition(text):
     return tuple(x for x in parts if x)
 
 
-def _add_common(p, need_lambda=True):
+def _box_count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative, got %d" % value)
+    return value
+
+
+def _add_plan(p, bounded=True):
     p.add_argument("--family", choices=("classical", "super"),
                    default="classical")
     p.add_argument("-m", type=int, default=2)
     p.add_argument("-n", type=int, default=0)
-    if need_lambda:
-        p.add_argument("--lambda", dest="lam", default="0",
-                       help="partition, e.g. 3,2,1 (0 for empty)")
-        p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--max-boxes", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", default="0",
+                   help="partition, e.g. 3,2,1 (0 for empty)")
+    p.add_argument("--ell", type=int, default=1)
+    if bounded:
+        p.add_argument("--max-boxes", type=_box_count, default=None)
     p.add_argument("--output", "-o", default="-")
-    p.add_argument("--jobs", type=int, default=1)
 
 
-def _config(args, need_lambda=True):
+def _config(args):
     alphabet = make_alphabet(args.family, args.m, args.n)
-    plan = None
-    if need_lambda:
-        plan = osptab.shape_plan(_parse_partition(args.lam), args.ell, alphabet)
-    if args.family == "super" and args.max_boxes is None and need_lambda:
+    plan = osptab.shape_plan(_parse_partition(args.lam), args.ell, alphabet)
+    return alphabet, plan
+
+
+def _bounded_config(args):
+    alphabet, plan = _config(args)
+    if args.family == "super" and args.max_boxes is None:
         raise RejectError("super alphabets require --max-boxes")
     return alphabet, plan
 
@@ -64,7 +78,7 @@ def _write(args, text):
 
 
 def cmd_enumerate(args):
-    alphabet, plan = _config(args)
+    alphabet, plan = _bounded_config(args)
     lines = []
     for t in osptab.enumerate_tableaux(plan, alphabet, args.max_boxes):
         lines.append(json.dumps(osptab.tuple_to_json(t), sort_keys=True))
@@ -73,7 +87,7 @@ def cmd_enumerate(args):
 
 
 def cmd_graph(args):
-    alphabet, plan = _config(args)
+    alphabet, plan = _bounded_config(args)
     graph = crystal.explore(plan, alphabet, args.family, args.max_boxes)
     if args.format == "dot":
         _write(args, crystal.graph_to_dot(graph))
@@ -84,14 +98,14 @@ def cmd_graph(args):
 
 
 def cmd_char(args):
-    alphabet, plan = _config(args)
+    alphabet, plan = _bounded_config(args)
     poly = character.s_character(plan, alphabet, args.max_boxes)
     _write(args, json.dumps(poly.to_json(alphabet)) + "\n")
     return 0
 
 
 def cmd_kcoef(args):
-    alphabet, plan = _config(args)
+    alphabet, plan = _bounded_config(args)
     bound = args.max_boxes
     if bound is None:
         bound = plan.ell * alphabet.size
@@ -102,6 +116,9 @@ def cmd_kcoef(args):
 
 
 def cmd_dims(args):
+    if args.family == "super":
+        raise RejectError("dims is the type D Weyl dimension; the super "
+                          "family has none")
     alphabet, plan = _config(args)
     dim = character.weyl_dim_D(plan.ell, plan.lam, alphabet.size)
     _write(args, "%d\n" % dim)
@@ -151,7 +168,7 @@ def _check_super_closure(m, n, lam, ell, bound=8):
     graph = crystal.explore(plan, alphabet, "super", bound)  # raises on violation
     bad = crystal.check_axioms(graph)
     H = osptab.highest_weight_tuple(plan, alphabet, "super")
-    hid = graph.index()[crystal._key(H)]
+    hid = graph.index()[H]
     genuine = [s for s in graph.sources
                if crystal.is_genuine_highest(alphabet, "super", graph.vertices[s])]
     ok = (graph.components == 1 and not bad and genuine == [hid]
@@ -208,25 +225,24 @@ def _verify_checks(seed):
     return checks
 
 
+def _run_check(name, fn):
+    try:
+        ok, detail = fn()
+    except Exception as exc:  # closure violations raise
+        ok, detail = False, {"error": str(exc)}
+    return {"name": name, "ok": bool(ok), "detail": detail}
+
+
 def cmd_verify(args):
     if args.mutate:
-        MUTATIONS.add(args.mutate)
-    checks = _verify_checks(args.seed)
-    results = []
-
-    def run(item):
-        name, fn = item
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # closure violations raise
-            ok, detail = False, {"error": str(exc)}
-        return {"name": name, "ok": bool(ok), "detail": detail}
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, checks))
-    else:
-        results = [run(item) for item in checks]
+        module, attr, replacement = FAULTS[args.mutate]
+        original = getattr(module, attr)
+        setattr(module, attr, replacement)
+    try:
+        results = [_run_check(name, fn) for name, fn in _verify_checks(args.seed)]
+    finally:
+        if args.mutate:
+            setattr(module, attr, original)
     report = {"seed": args.seed, "ok": all(r["ok"] for r in results),
               "checks": results}
     _write(args, json.dumps(report, sort_keys=True, indent=1) + "\n")
@@ -241,31 +257,31 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream tableaux as JSON lines")
-    _add_common(p)
+    _add_plan(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("graph", help="export the crystal graph")
-    _add_common(p)
+    _add_plan(p)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(fn=cmd_graph)
 
     p = sub.add_parser("char", help="character polynomial")
-    _add_common(p)
+    _add_plan(p)
     p.set_defaults(fn=cmd_char)
 
     p = sub.add_parser("kcoef", help="branching coefficients")
-    _add_common(p)
+    _add_plan(p)
     p.set_defaults(fn=cmd_kcoef)
 
     p = sub.add_parser("dims", help="type D Weyl dimension")
-    _add_common(p)
+    _add_plan(p, bounded=False)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("verify", help="run the verification battery")
-    _add_common(p, need_lambda=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mutate", default=None,
-                   help="fault injection for testing, e.g. flip-adm-i")
+    p.add_argument("--mutate", choices=sorted(FAULTS), default=None,
+                   help="fault injection for testing the battery")
+    p.add_argument("--output", "-o", default="-")
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -20,13 +20,13 @@ isotropic rule are invisible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .alphabet import Weight, simple_root_delta, simple_root_indices
-from .osptab import (BarPair, OspTableauD, SpinColumn, classify_pair,
-                     enumerate_tableaux, make_bar_pair, tuple_to_json,
-                     parts_from_columns, tuple_to_matrix)
+from .osptab import (OspTableauD, SpinColumn, enumerate_tableaux,
+                     highest_ssyt_cols, part_cols, part_from_cols,
+                     part_letters, parts_from_columns, slot_of, tuple_to_json,
+                     tuple_to_matrix)
 from .signature import survivors
 from .tableau import BiwordMatrix, column_is_valid, letters_weight, make_matrix
 
@@ -216,27 +216,12 @@ def f_matrix(alphabet, family, color, matrix):
 # ---------------------------------------------------------------------------
 # operators on components and full tableaux
 
-def _part_cols(part):
-    if isinstance(part, SpinColumn):
-        return (part.col,)
-    return (part.right, part.left)
-
-
-def _rebuild_part(part, cols):
-    if isinstance(part, SpinColumn):
-        return SpinColumn(cols[0])
-    right, left = cols
-    if isinstance(part, BarPair):
-        return make_bar_pair(left, right)
-    return classify_pair(left, right, part.a)
-
-
 def _part_op(alphabet, family, color, part, op):
-    cols = _cols_op(alphabet, family, color, _part_cols(part), op)
+    cols = _cols_op(alphabet, family, color, part_cols(part), op)
     if cols is None:
         return None
     try:
-        return _rebuild_part(part, cols)
+        return part_from_cols(slot_of(part), cols)
     except Exception as exc:
         raise CrystalError("component left its class: %s" % exc) from exc
 
@@ -301,8 +286,7 @@ def eps_phi(alphabet, family, color, tt, cap=10000):
 
 def part_weight(alphabet, part):
     lv = 1 if isinstance(part, SpinColumn) else 2
-    letters = part.col if isinstance(part, SpinColumn) else part.right + part.left
-    w = letters_weight(alphabet, letters)
+    w = letters_weight(alphabet, part_letters(part))
     return Weight(lv, w.counts)
 
 
@@ -328,23 +312,6 @@ def plan_weight(alphabet, plan):
         for j, part in enumerate(conjugate(tail)):
             counts[alphabet.m + j] = part
     return Weight(plan.ell, tuple(counts))
-
-
-def highest_ssyt_cols(alphabet, family, shape):
-    """The highest weight tableau of a straight shape, column-major: barred
-    letters fill the first rows; below row m the super family places the
-    j-th odd letter down column j, the classical family continues along the
-    letter chain."""
-    from .tableau import conjugate
-    cols = []
-    for j, h in enumerate(conjugate(shape), start=1):
-        ranks = list(range(min(h, alphabet.m)))
-        if family == "super":
-            ranks += [alphabet.m + j - 1] * (h - alphabet.m)
-        else:
-            ranks += list(range(alphabet.m, h))
-        cols.append(tuple(alphabet.letter(r) for r in ranks))
-    return tuple(cols)
 
 
 def is_genuine_highest(alphabet, family, tt):
@@ -388,17 +355,7 @@ class CrystalGraph:
     components: int = 0
 
     def index(self):
-        return {_key(t): i for i, t in enumerate(self.vertices)}
-
-    def vertex_stats(self, i):
-        """String statistics {color name: (eps, phi)} of one vertex,
-        computed operationally."""
-        return {c.name: eps_phi(self.alphabet, self.family, c, self.vertices[i])
-                for c in simple_root_indices(self.alphabet)}
-
-
-def _key(tt):
-    return json.dumps(tuple_to_json(tt), sort_keys=True)
+        return {t: i for i, t in enumerate(self.vertices)}
 
 
 def explore(plan, alphabet, family, max_boxes=None):
@@ -409,9 +366,9 @@ def explore(plan, alphabet, family, max_boxes=None):
     as truncated rather than followed.
     """
     vertices = enumerate_tableaux(plan, alphabet, max_boxes)
-    index = {_key(t): i for i, t in enumerate(vertices)}
     graph = CrystalGraph(alphabet, family, plan, max_boxes, vertices,
                          [tuple_weight(alphabet, t) for t in vertices])
+    index = graph.index()
     colors = simple_root_indices(alphabet)
     parent = list(range(len(vertices)))
 
@@ -432,20 +389,19 @@ def explore(plan, alphabet, family, max_boxes=None):
             up = e_osp(alphabet, family, color, tt)
             if up is not None:
                 is_source = False
-                if _key(up) not in index:
+                if up not in index:
                     raise CrystalError("raising left the enumerated set at "
                                        "vertex %d color %s" % (src, color.name))
             down = f_osp(alphabet, family, color, tt)
             if down is None:
                 continue
-            key = _key(down)
-            if key not in index:
+            if down not in index:
                 if max_boxes is not None and down.boxes() > max_boxes:
                     graph.truncated.append((src, color.name))
                     continue
                 raise CrystalError("lowering left the enumerated set at "
                                    "vertex %d color %s" % (src, color.name))
-            dst = index[key]
+            dst = index[down]
             graph.edges.append((src, color.name, dst))
             union(src, dst)
         if is_source:
@@ -463,7 +419,7 @@ def check_axioms(graph):
     for src, cname, dst in graph.edges:
         color = colors[cname]
         back = e_osp(alphabet, family, color, graph.vertices[dst])
-        if back is None or _key(back) != _key(graph.vertices[src]):
+        if back != graph.vertices[src]:
             bad.append(("inverse", src, cname, dst))
         root = simple_root_delta(alphabet, color)
         want = graph.weights[src].sub(Weight(0, root.counts))

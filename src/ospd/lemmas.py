@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 
 from .alphabet import simple_root_indices
-from .crystal import e_pair_bar
-from .osptab import (BarPair, SpinColumn, is_admissible, lr_split,
-                     osp_pairs, spin_columns, star_split,
-                     try_classify_pair, try_make_bar_pair)
+from .crystal import _cols_op, _spin_sign, e_pair_bar
+from .osptab import (BarPair, SpinColumn, is_admissible, lr_split, osp_pairs,
+                     part_cols, part_from_cols, slot_of, spin_columns,
+                     star_split)
 
 
 def _remove_one(col, letter):
@@ -150,8 +150,8 @@ _CASE_MODES = {"T2R": (0,), "T2L": (0,), "T1R": (0, 5), "T1L": (0, 4),
                "T1sp": (1, 2), "T1bar": (2, 3), "T2bar": (3,)}
 
 
-def _random_adjacent_pair(rng, pools, spins, bars, modes, inert, active,
-                          active_r):
+def _random_adjacent_pair(rng, pools, spins, minus_spins, bars, modes, inert,
+                          active, active_r):
     """Draw a random (T2, T1) of admissible-comparable kinds; ``modes``
     restricts the kind combination to keep unfilled buckets reachable."""
     mode = rng.choice(modes)
@@ -169,7 +169,7 @@ def _random_adjacent_pair(rng, pools, spins, bars, modes, inert, active,
     if mode == 3:
         if rng.randrange(2):  # bar-bar
             return rng.choice(bars), rng.choice(bars)
-        return rng.choice(bars), rng.choice([s for s in spins if s.sign == "-"])
+        return rng.choice(bars), rng.choice(minus_spins)
     # modes 4/5: the left member cannot absorb the move, a chosen column
     # of the right member carries it
     target = active if mode == 4 else active_r
@@ -201,13 +201,13 @@ def run_admissibility_suite(alphabet, per_case=2000, seed=2, budget=6,
                             max_a=3, max_attempts=2000000):
     """Raising an admissible adjacent pair keeps it admissible; instances
     are bucketed by which column the operator hit."""
-    from .crystal import _spin_sign
     rng = random.Random(seed)
     spin = simple_root_indices(alphabet)[0]
     pools = [
         sorted(osp_pairs(alphabet, a, budget + a)) for a in range(max_a + 1)]
     spins = sorted(spin_columns(alphabet, "+", budget)) + \
         sorted(spin_columns(alphabet, "-", budget))
+    minus_spins = [s for s in spins if s.sign == "-"]
     bars = sorted(osp_pairs(alphabet, 0, budget, bar=True))
     blocked = [[t for t in pool
                 if _spin_sign(t.left) == "." and _spin_sign(t.right) == "."]
@@ -237,8 +237,8 @@ def run_admissibility_suite(alphabet, per_case=2000, seed=2, budget=6,
     modes = open_modes()
     while attempts < max_attempts and modes:
         attempts += 1
-        t2, t1 = _random_adjacent_pair(rng, pools, spins, bars, modes,
-                                       inert, active, active_r)
+        t2, t1 = _random_adjacent_pair(rng, pools, spins, minus_spins, bars,
+                                       modes, inert, active, active_r)
         if not is_admissible(t2, t1):
             continue
         moved = _apply_pair_raise(alphabet, spin, t2, t1)
@@ -258,32 +258,15 @@ def run_admissibility_suite(alphabet, per_case=2000, seed=2, budget=6,
             "failures": failures, "ok": not failures}
 
 
-def _part_cols_pair(part):
-    if isinstance(part, SpinColumn):
-        return [part.col]
-    return [part.right, part.left]
-
-
 def _apply_pair_raise(alphabet, spin_color, t2, t1):
     """Raising at the spin color on the two-component tensor (T2, T1);
-    columns enter in the matrix order of the pair of components."""
-    from .crystal import _cols_op
-    cols = _part_cols_pair(t1) + _part_cols_pair(t2)
-    new = _cols_op(alphabet, "classical", spin_color, tuple(cols), "e")
+    columns enter in the matrix order of the pair of components.  A
+    component that leaves its class raises RejectError."""
+    cols1 = part_cols(t1)
+    new = _cols_op(alphabet, "classical", spin_color, cols1 + part_cols(t2),
+                   "e")
     if new is None:
         return None
-    n1 = len(_part_cols_pair(t1))
-    u1 = _rebuild(t1, new[:n1])
-    u2 = _rebuild(t2, new[n1:])
-    if u1 is None or u2 is None:
-        raise AssertionError("raising left the component class")
-    return u2, u1
-
-
-def _rebuild(part, cols):
-    if isinstance(part, SpinColumn):
-        return SpinColumn(cols[0])
-    right, left = cols
-    if isinstance(part, BarPair):
-        return try_make_bar_pair(left, right)
-    return try_classify_pair(left, right, part.a)
+    n1 = len(cols1)
+    return (part_from_cols(slot_of(t2), new[n1:]),
+            part_from_cols(slot_of(t1), new[:n1]))

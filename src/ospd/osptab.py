@@ -23,9 +23,6 @@ from .tableau import (column_is_valid, column_to_json, column_from_json,
                       conjugate, entry_from_bottom, is_partition, make_matrix,
                       row_pair_ok)
 
-# named mutations for fault-injection testing (see cli verify --mutate)
-MUTATIONS = set()
-
 
 class RejectError(ValueError):
     """A candidate object fails a membership or admissibility condition."""
@@ -72,10 +69,38 @@ class SpinColumn(NamedTuple):
         return len(self.col)
 
 
-def part_letters(part):
+def part_cols(part):
+    """The matrix columns of a component: (T^R, T^L) for a pair, (T_0,) for
+    a spin column."""
     if isinstance(part, SpinColumn):
-        return part.col
-    return part.right + part.left
+        return (part.col,)
+    return (part.right, part.left)
+
+
+def part_letters(part):
+    return sum(part_cols(part), ())
+
+
+def slot_of(part):
+    """The (kind, param) slot a component fills, as listed by
+    :func:`expected_kinds`."""
+    if isinstance(part, SpinColumn):
+        return "spin", part.sign
+    if isinstance(part, BarPair):
+        return "bar", None
+    return "pair", part.a
+
+
+def part_from_cols(slot, cols):
+    """The component of the slot with the given matrix columns, the inverse
+    of :func:`part_cols`; raises RejectError when they leave its class."""
+    kind, param = slot
+    if kind == "spin":
+        return SpinColumn(cols[0])
+    right, left = cols
+    if kind == "bar":
+        return make_bar_pair(left, right)
+    return classify_pair(left, right, param)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +300,12 @@ def _entries_leq(x_col, y_col, shift=0):
     return True
 
 
+def _height_ok(height, bound):
+    """Clause (i) of admissibility: the height bound.  A function of its own
+    so that ``ospd verify --mutate flip-adm-i`` can replace it."""
+    return height <= bound
+
+
 def _admissible_nonbar(t, s):
     """T < S for T an a-pair and S an a'-pair or a spin column."""
     a_p, r_s, s_l, ls, s_lstar, spin_minus = _adm_profile(s)
@@ -283,11 +314,7 @@ def _admissible_nonbar(t, s):
     r_t = t.residue
     eps = 1 if spin_minus else 0
 
-    # (i) height bound
-    ok = len(t.right) <= len(s_l) - a_p + 2 * r_s * r_t
-    if "flip-adm-i" in MUTATIONS:
-        ok = len(t.right) >= len(s_l) - a_p + 2 * r_s * r_t
-    if not ok:
+    if not _height_ok(len(t.right), len(s_l) - a_p + 2 * r_s * r_t):
         return False
     # (ii)
     x_col = star_split(t)[1] if r_s == r_t == 1 else t.right
@@ -604,31 +631,19 @@ def tuple_to_matrix(t):
     then each pair contributes its right and left columns."""
     cols = []
     for part in reversed(t.parts):
-        if isinstance(part, SpinColumn):
-            cols.append(part.col)
-        else:
-            cols.append(part.right)
-            cols.append(part.left)
+        cols.extend(part_cols(part))
     return make_matrix(cols)
 
 
 def parts_from_columns(cols, plan):
     """Rebuild components from matrix columns; raises RejectError when a
     column pair leaves its class."""
-    kinds = expected_kinds(plan)
     parts = []
     pos = 0
-    for kind, param in reversed(kinds):
-        if kind == "spin":
-            parts.append(SpinColumn(cols[pos]))
-            pos += 1
-        else:
-            right, left = cols[pos], cols[pos + 1]
-            pos += 2
-            if kind == "bar":
-                parts.append(make_bar_pair(left, right))
-            else:
-                parts.append(classify_pair(left, right, param))
+    for slot in reversed(expected_kinds(plan)):
+        width = 1 if slot[0] == "spin" else 2
+        parts.append(part_from_cols(slot, cols[pos:pos + width]))
+        pos += width
     if pos != len(cols):
         raise RejectError("column count does not match the plan")
     return tuple(reversed(parts))
@@ -638,26 +653,31 @@ def matrix_to_tuple(matrix, plan):
     return OspTableauD(parts_from_columns(matrix.cols, plan), plan)
 
 
+def highest_ssyt_cols(alphabet, family, shape):
+    """The highest weight tableau of a straight shape, column-major: barred
+    letters fill the first rows; below row m the super family places the
+    j-th odd letter down column j, the classical family continues along the
+    letter chain."""
+    cols = []
+    for j, h in enumerate(conjugate(shape), start=1):
+        ranks = list(range(min(h, alphabet.m)))
+        if family == "super":
+            ranks += [alphabet.m + j - 1] * (h - alphabet.m)
+        else:
+            ranks += list(range(alphabet.m, h))
+        cols.append(tuple(alphabet.letter(r) for r in ranks))
+    return tuple(cols)
+
+
 def highest_weight_tuple(plan, alphabet, family):
     """The highest-weight candidate: H for the classical family, the genuine
     one for the super family."""
-    lam = plan.lam
-    lam_conj = conjugate(lam)
-
-    def column_of_shape(j):
-        # j-th column (1-based) of the weight-lattice highest tableau
-        height = lam_conj[j - 1]
-        ranks = list(range(min(height, alphabet.m)))
-        if family == "super":
-            ranks += [alphabet.m + j - 1] * (height - alphabet.m)
-        else:
-            ranks += list(range(alphabet.m, height))
-        return tuple(alphabet.letter(r) for r in ranks)
-
+    if family == "super":
+        lam_cols = highest_ssyt_cols(alphabet, family, plan.lam)
     parts = []
     for t in range(plan.M, 0, -1):
         if family == "super":
-            left = column_of_shape(plan.M - t + 1)
+            left = lam_cols[plan.M - t]
         else:
             left = tuple(alphabet.letter(r) for r in range(plan.heights[t - 1]))
         parts.append(classify_pair(left, (), plan.heights[t - 1]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .alphabet import EVEN
-from .tableau import BiwordMatrix, make_matrix, sorted_column
+from .tableau import make_matrix, sorted_column
 
 PLUS = "+"
 MINUS = "-"
@@ -209,30 +209,3 @@ def gl_f_tableau(q_cols, i):
     cell, _ = pairs[plus[0]]
     return _tableau_replace(q_cols, cell, i + 1)
 
-
-# ---------------------------------------------------------------------------
-# dispatch helpers
-
-def _kind(obj):
-    if isinstance(obj, BiwordMatrix):
-        return "matrix"
-    if isinstance(obj, tuple) and obj and isinstance(obj[0], tuple):
-        return "tableau"
-    return "word"
-
-
-def gl_E(obj, i):
-    """Raising operator on a word, a biword matrix, or a recording tableau."""
-    return {"matrix": gl_e_matrix, "tableau": gl_e_tableau,
-            "word": gl_e_word}[_kind(obj)](obj, i)
-
-
-def gl_F(obj, i):
-    """Lowering operator on a word, a biword matrix, or a recording tableau."""
-    return {"matrix": gl_f_matrix, "tableau": gl_f_tableau,
-            "word": gl_f_word}[_kind(obj)](obj, i)
-
-
-def sigma(obj, i):
-    return {"matrix": sigma_matrix, "tableau": sigma_tableau,
-            "word": sigma_word}[_kind(obj)](obj, i)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .alphabet import EVEN, ODD
+from .alphabet import EVEN
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +57,8 @@ def row_pair_ok(x, y):
     return x.rank == y.rank and x == y and x.parity == EVEN
 
 
-def column_pair_ok(x, y):
-    """May x sit immediately above y in a column?"""
-    if x.rank < y.rank:
-        return True
-    return x.rank == y.rank and x == y and x.parity == ODD
-
-
 # ---------------------------------------------------------------------------
-# straight and skew tableaux
+# straight tableaux
 
 def conjugate(shape):
     """Conjugate partition."""
@@ -79,64 +72,6 @@ def conjugate(shape):
 
 def is_partition(shape):
     return all(a >= b >= 0 for a, b in zip(shape, shape[1:] + (0,)))
-
-
-class SkewTableau(NamedTuple):
-    """A filling of a skew shape outer/inner, stored row-major.
-
-    ``rows[i]`` lists the entries of row i at columns inner[i]..outer[i]-1.
-    """
-
-    outer: tuple
-    inner: tuple
-    rows: tuple
-
-    def cells(self):
-        for i, row in enumerate(self.rows):
-            for k, entry in enumerate(row):
-                yield i, self.inner[i] + k, entry
-
-
-def make_skew(outer, inner, rows):
-    outer = tuple(outer)
-    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
-    if not (is_partition(outer) and is_partition(inner)):
-        raise ValueError("outer and inner must be partitions")
-    if len(inner) > len(outer) and any(inner[len(outer):]):
-        raise ValueError("inner does not fit inside outer")
-    inner = inner[:len(outer)]
-    if any(a < b for a, b in zip(outer, inner)):
-        raise ValueError("inner does not fit inside outer")
-    rows = tuple(tuple(r) for r in rows)
-    if len(rows) != len(outer) or any(len(r) != o - i for r, o, i in zip(rows, outer, inner)):
-        raise ValueError("row lengths do not match the shape")
-    return SkewTableau(outer, inner, rows)
-
-
-def is_semistandard(t):
-    """Graded semistandardness of a skew tableau."""
-    grid = {}
-    for i, j, entry in t.cells():
-        grid[i, j] = entry
-    for (i, j), x in grid.items():
-        y = grid.get((i, j + 1))
-        if y is not None and not row_pair_ok(x, y):
-            return False
-        y = grid.get((i + 1, j))
-        if y is not None and not column_pair_ok(x, y):
-            return False
-    return True
-
-
-def skew_word(t):
-    """Reading word: columns right to left, top to bottom in each column."""
-    cols = {}
-    for i, j, entry in t.cells():
-        cols.setdefault(j, []).append((i, entry))
-    out = []
-    for j in sorted(cols, reverse=True):
-        out.extend(entry for _, entry in sorted(cols[j]))
-    return tuple(out)
 
 
 def letters_weight(alphabet, letters):
@@ -155,15 +90,6 @@ def cols_to_rows(cols):
     for i in range(len(cols[0])):
         rows.append(tuple(col[i] for col in cols if len(col) > i))
     return tuple(rows)
-
-
-def rows_to_cols(rows):
-    if not rows:
-        return ()
-    cols = []
-    for j in range(len(rows[0])):
-        cols.append(tuple(row[j] for row in rows if len(row) > j))
-    return tuple(cols)
 
 
 def straight_shape(cols):
@@ -190,69 +116,6 @@ def straight_word(cols):
     for col in reversed(cols):
         out.extend(col)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# two-column skew shapes lambda(a, b, c) = (2^{b+c}, 1^a)/(1^b)
-
-class TwoColShape(NamedTuple):
-    a: int
-    b: int
-    c: int
-
-
-class TwoColumnTableau(NamedTuple):
-    """Columns of a lambda(a,b,c) filling; left height a+c, right height b+c,
-    the right column raised b rows above the top of the left column."""
-
-    left: tuple
-    right: tuple
-    shape: TwoColShape
-
-
-def make_two_column(left, right, shape):
-    left, right = tuple(left), tuple(right)
-    a, b, c = shape
-    if min(a, b, c) < 0:
-        raise ValueError("negative two-column shape")
-    if len(left) != a + c or len(right) != b + c:
-        raise ValueError("column heights do not match lambda(%d,%d,%d)" % shape)
-    if not (column_is_valid(left) and column_is_valid(right)):
-        raise ValueError("columns are not semistandard")
-    return TwoColumnTableau(left, right, TwoColShape(a, b, c))
-
-
-def two_column_rows(t):
-    """Aligned rows (x, y) of the shape; missing cells are None."""
-    a, b, c = t.shape
-    rows = []
-    for r in range(1, a + b + c + 1):
-        x = t.left[r - b - 1] if b < r <= a + b + c else None
-        y = t.right[r - 1] if r <= b + c else None
-        rows.append((x, y))
-    return rows
-
-
-def two_column_is_semistandard(t):
-    for x, y in two_column_rows(t):
-        if x is not None and y is not None and not row_pair_ok(x, y):
-            return False
-    return True
-
-
-def two_column_word(t):
-    return tuple(t.right) + tuple(t.left)
-
-
-def two_column_skew(t):
-    """The TwoColumnTableau as a generic SkewTableau."""
-    a, b, c = t.shape
-    outer = (2,) * (b + c) + (1,) * a
-    inner = (1,) * b
-    rows = []
-    for x, y in two_column_rows(t):
-        rows.append(tuple(e for e in (x, y) if e is not None))
-    return make_skew(outer, inner, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +146,6 @@ def make_matrix(cols):
         if not column_is_valid(c):
             raise ValueError("matrix column %r is not a column tableau" % (c,))
     return BiwordMatrix(cols)
-
-
-def matrix_from_counts(ell, entries):
-    """Build from {(letter, i): count} with 1-based column index i."""
-    cols = [[] for _ in range(ell)]
-    for (letter, i), count in entries.items():
-        if not 1 <= i <= ell:
-            raise ValueError("column index %d out of range" % i)
-        if count < 0 or (letter.parity == EVEN and count > 1):
-            raise ValueError("bad multiplicity for %r" % (letter,))
-        cols[i - 1].extend([letter] * count)
-    return make_matrix(sorted_column(c) for c in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +285,3 @@ def column_to_json(col):
 def column_from_json(alphabet, obj):
     return letters_from_json(alphabet, obj["col"])
 
-
-def skew_to_json(t):
-    return {
-        "shape": {"outer": list(t.outer), "inner": list(t.inner)},
-        "rows": [letters_to_json(row) for row in t.rows],
-    }
-
-
-def skew_from_json(alphabet, obj):
-    return make_skew(
-        tuple(obj["shape"]["outer"]),
-        tuple(obj["shape"]["inner"]),
-        tuple(letters_from_json(alphabet, row) for row in obj["rows"]),
-    )

@@ -22,7 +22,7 @@ from ospd import make_alphabet, shape_plan, verify_pieri, weyl_dim_D
 from ospd.character import (k_coefficients, k_from_character, s_character,
                             schur_expansion_matches, super_schur, CharPoly)
 from ospd.crystal import (check_axioms, explore, f_reachable,
-                          is_genuine_highest, plan_weight, _key)
+                          is_genuine_highest, plan_weight)
 from ospd.lemmas import run_admissibility_suite, run_split_lemma_suite
 from ospd.osptab import (classify_pair, highest_weight_tuple, is_admissible,
                          lr_split, star_split, tuple_to_matrix)
@@ -203,7 +203,7 @@ def test_criterion_7_super_connectedness(super_graphs):
             continue
         plan = shape_plan(lam, ell, alphabet)
         H = highest_weight_tuple(plan, alphabet, "super")
-        hid = graph.index()[_key(H)]
+        hid = graph.index()[H]
         # the theorem: one connected component with the genuine highest
         # weight element of the prescribed weight among the sources
         assert graph.components == 1, (lam, ell)

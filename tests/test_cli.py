@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from ospd import cli, make_alphabet, osptab
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "ospd.cli", *args],
@@ -96,6 +98,29 @@ def test_dims():
     assert code == 0 and out.strip() == "8"
 
 
+PLAN = ("--family", "super", "-m", "2", "-n", "2", "--lambda", "1,1",
+        "--ell", "2")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("enumerate", *PLAN, "--max-boxes", "-1"), "non-negative"),
+    (("graph", *PLAN, "--max-boxes", "-1"), "non-negative"),
+    (("char", *PLAN, "--max-boxes", "-1"), "non-negative"),
+    (("kcoef", *PLAN, "--max-boxes", "-3"), "non-negative"),
+    (("dims", "--family", "super", "-m", "2", "-n", "2", "--lambda", "1",
+      "--ell", "1"), "Weyl dimension"),
+    (("dims", "--family", "classical", "-m", "4", "--max-boxes", "3"),
+     "unrecognized arguments"),
+    (("verify", "--mutate", "no-such-fault"), "invalid choice"),
+    (("verify", "--jobs", "2"), "unrecognized arguments"),
+    (("verify", "--family", "super"), "unrecognized arguments"),
+])
+def test_usage_errors_exit_2(args, message):
+    code, out, err = run_cli(*args)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.slow
 def test_verify_default_battery_and_seed_reproducibility(tmp_path):
     code1, out1, err1 = run_cli("verify", "--seed", "7")
@@ -104,8 +129,6 @@ def test_verify_default_battery_and_seed_reproducibility(tmp_path):
     assert report["ok"] and report["seed"] == 7
     code2, out2, _ = run_cli("verify", "--seed", "7")
     assert out2 == out1
-    code3, out3, _ = run_cli("verify", "--seed", "7", "--jobs", "2")
-    assert code3 == 0 and out3 == out1
 
 
 @pytest.mark.slow
@@ -115,3 +138,17 @@ def test_verify_mutation_fails_with_named_check():
     report = json.loads(out)
     failing = [c["name"] for c in report["checks"] if not c["ok"]]
     assert failing
+
+
+@pytest.mark.slow
+def test_verify_mutation_does_not_outlive_the_battery(capsys):
+    # the worked example T < S2 of the battery, which the fault breaks
+    A = make_alphabet("super", 4, 6)
+    L = lambda *names: tuple(A.parse(s) for s in names)
+    T = osptab.classify_pair(L("b4", "b1", "1/2", "3/2", "3/2"),
+                             L("b3", "b2", "3/2", "5/2"), 3)
+    S2 = osptab.classify_pair(L("b3", "b2", "b1", "1/2", "3/2", "5/2", "7/2"),
+                              L("b2", "b1", "1/2", "3/2", "7/2", "9/2"), 1)
+    assert cli.main(["verify", "--mutate", "flip-adm-i"]) == 1
+    capsys.readouterr()
+    assert osptab.is_admissible(T, S2)

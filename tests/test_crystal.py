@@ -7,7 +7,7 @@ from ospd.crystal import (check_axioms, e_osp, e_pair_bar, e_spin_bar, e_word,
                           f_word, graph_to_dot, graph_to_json,
                           is_genuine_highest,
                           is_highest_weight, letter_e, letter_f, plan_weight,
-                          psi_plus, psi_plus_inverse, tuple_weight, _key)
+                          psi_plus, psi_plus_inverse, tuple_weight)
 from ospd.osptab import (SpinColumn, classify_pair, enumerate_tableaux,
                          highest_weight_tuple, osp_pairs)
 from ospd.tableau import letters_weight, make_matrix
@@ -218,7 +218,7 @@ def test_genuine_highest_detection(sup22):
     plan = shape_plan((1, 1), 2, sup22)
     g = explore(plan, sup22, "super", max_boxes=8)
     H = highest_weight_tuple(plan, sup22, "super")
-    hid = g.index()[_key(H)]
+    hid = g.index()[H]
     genuine = [s for s in g.sources
                if is_genuine_highest(sup22, "super", g.vertices[s])]
     assert genuine == [hid]

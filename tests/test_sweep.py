@@ -4,7 +4,7 @@ and the full graph gauntlet on plans with mixed component blocks."""
 from ospd import (check_axioms, enumerate_tableaux, explore, make_alphabet,
                   shape_plan, weyl_dim_D)
 from ospd.character import partitions_up_to
-from ospd.crystal import _key, is_genuine_highest, plan_weight
+from ospd.crystal import is_genuine_highest, plan_weight
 from ospd.osptab import highest_weight_tuple
 
 EXOTIC = (((3,), 3), ((3,), 4), ((2, 2), 4), ((3, 1), 4), ((1,), 3),
@@ -51,7 +51,7 @@ def test_exotic_super_plans_closed_and_connected(sup22):
         plan = shape_plan(lam, ell, sup22)
         graph = explore(plan, sup22, "super", max_boxes=8)
         H = highest_weight_tuple(plan, sup22, "super")
-        hid = graph.index()[_key(H)]
+        hid = graph.index()[H]
         genuine = [s for s in graph.sources
                    if is_genuine_highest(sup22, "super", graph.vertices[s])]
         assert graph.components == 1

@@ -1,30 +1,29 @@
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ospd import inverse_rsk, make_alphabet, make_skew, rsk
-from ospd.tableau import (is_semistandard, insert_letter, insert_word,
-                          letters_weight, make_matrix, make_two_column,
-                          skew_from_json, skew_to_json, skew_word,
+from ospd import inverse_rsk, make_alphabet, rsk
+from ospd.tableau import (column_is_valid, insert_letter, insert_word,
+                          letters_weight, make_matrix, row_pair_ok,
                           sorted_column, straight_is_semistandard,
-                          straight_shape, two_column_skew)
+                          straight_shape, straight_word)
 from ospd.osptab import all_columns, classify_pair
 
 from conftest import letters, random_matrix
 
 
 def test_column_semistandard_examples(sup46, cl40):
-    assert is_semistandard(make_skew((1, 1), (), [[sup46.parse("3/2")],
-                                                  [sup46.parse("3/2")]]))
-    assert not is_semistandard(make_skew((1, 1), (), [[cl40.parse("b2")],
-                                                      [cl40.parse("b2")]]))
+    # odd letters repeat down a column, even letters do not
+    assert column_is_valid(letters(sup46, "3/2", "3/2"))
+    assert not column_is_valid(letters(cl40, "b2", "b2"))
 
 
 def test_odd_letters_strict_along_rows(sup46):
+    # even letters repeat along a row, odd letters do not
     half = sup46.parse("1/2")
-    assert not is_semistandard(make_skew((2,), (), [[half, half]]))
+    assert not row_pair_ok(half, half)
+    assert row_pair_ok(sup46.parse("b2"), sup46.parse("b2"))
 
 
 def test_rsk_never_produces_odd_row_repeats(sup22):
@@ -37,25 +36,22 @@ def test_rsk_never_produces_odd_row_repeats(sup22):
 
 
 def test_word_of_worked_example(sup46):
-    from ospd.tableau import (two_column_is_semistandard, two_column_word,
-                              straight_word)
     t = classify_pair(letters(sup46, "b4", "b1", "1/2", "3/2", "3/2"),
                       letters(sup46, "b3", "b2", "3/2", "5/2"), 3)
-    pair = make_two_column(t.left, t.right, (3, 2, 2))
-    assert two_column_is_semistandard(pair)
-    skew = two_column_skew(pair)
-    assert [a.name for a in skew_word(skew)] == \
+    # in lambda(3, 2, 2) the right column stands b = 2 rows above the left
+    assert t.shape() == (3, 2, 2)
+    assert all(row_pair_ok(x, y) for x, y in zip(t.left, t.right[2:]))
+    # the reading word takes the columns right to left, each top to bottom
+    assert [a.name for a in straight_word((t.left, t.right))] == \
         ["b3", "b2", "3/2", "5/2", "b4", "b1", "1/2", "3/2", "3/2"]
-    assert skew_word(skew) == two_column_word(pair)
     # a straight tableau reads right-to-left by columns as well
     assert straight_word((letters(sup46, "b4", "b3"), letters(sup46, "b4"),)) \
         == letters(sup46, "b4", "b4", "b3")
 
 
 def test_empty_word_and_weight(cl40):
-    t = make_skew((), (), [])
-    assert skew_word(t) == ()
-    assert letters_weight(cl40, skew_word(t)).counts == (0, 0, 0, 0)
+    assert straight_word(()) == ()
+    assert letters_weight(cl40, straight_word(())).counts == (0, 0, 0, 0)
 
 
 def test_insert_into_empty(cl40):
@@ -140,14 +136,6 @@ def test_column_sorting(sup22):
     assert [a.name for a in c] == ["b2", "1/2", "1/2"]
     with pytest.raises(ValueError):
         sorted_column(letters(sup22, "b2", "b2"))
-
-
-def test_skew_json_roundtrip(sup46):
-    t = make_skew((2, 2, 1), (1,),
-                  [letters(sup46, "1/2"), letters(sup46, "b4", "3/2"),
-                   letters(sup46, "b1")])
-    blob = json.dumps(skew_to_json(t))
-    assert skew_from_json(sup46, json.loads(blob)) == t
 
 
 @settings(max_examples=150, deadline=None)
