@@ -1,19 +1,18 @@
 """Ortho-symplectic tableaux of type D and their crystal combinatorics."""
 
-from .alphabet import (Alphabet, Letter, RootIndex, Weight, compare,
-                       make_alphabet, parse_root_index, simple_root_delta,
+from .alphabet import (Alphabet, Letter, RootIndex, Weight, make_alphabet,
+                       parse_root_index, simple_root_delta,
                        simple_root_indices)
 from .character import (CharPoly, k_coefficients, s_character, super_schur,
                         verify_pieri, weyl_dim_D)
-from .crystal import (CrystalGraph, check_axioms, e_osp, e_pair_bar,
-                      e_spin_bar, e_word, explore, f_osp, f_pair_bar,
-                      f_spin_bar, f_word, graph_to_dot, graph_to_json,
-                      is_highest_weight, plan_weight, psi_plus, tuple_weight)
+from .crystal import (CrystalGraph, check_axioms, e_osp, e_pair_bar, explore,
+                      f_osp, graph_to_dot, graph_to_json, plan_weight,
+                      tuple_weight)
 from .osptab import (BarPair, OspPair, OspTableauD, RejectError, ShapePlan,
                      SpinColumn, classify_pair, enumerate_tableaux,
                      highest_weight_tuple, is_admissible, lr_split,
                      make_bar_pair, shape_plan, star_split, validate)
-from .signature import Signature, reduce, sigma_pair
+from .signature import Signature, sigma_pair
 from .tableau import BiwordMatrix, insert_letter, inverse_rsk, make_matrix, rsk
 
 __all__ = [name for name in dir() if not name.startswith("_")]

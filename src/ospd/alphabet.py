@@ -72,9 +72,6 @@ class Weight(NamedTuple):
         return Weight(self.level - other.level,
                       tuple(x - y for x, y in zip(self.counts, other.counts)))
 
-    def mult(self, letter):
-        return self.counts[letter.rank]
-
 
 def zero_weight(alphabet):
     return Weight(0, (0,) * alphabet.size)
@@ -145,17 +142,6 @@ class Alphabet:
 
 def make_alphabet(kind, m, n):
     return Alphabet(kind, m, n)
-
-
-def compare(a, b):
-    """Total-order comparison of two letters; -1, 0 or 1.
-
-    Letters of distinct alphabets are rejected when detectably mixed (same
-    rank but different symbol or parity).
-    """
-    if a.rank == b.rank and a != b:
-        raise ValueError("letters %r and %r come from different alphabets" % (a, b))
-    return (a.rank > b.rank) - (a.rank < b.rank)
 
 
 def simple_root_indices(alphabet):

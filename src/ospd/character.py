@@ -482,7 +482,6 @@ def k_from_character(plan, alphabet, max_boxes=None):
     if alphabet.kind != "classical":
         raise RejectError("the expansion oracle needs a classical alphabet")
     poly = s_character(plan, alphabet, max_boxes)
-    bound = max_boxes if max_boxes is not None else plan.ell * alphabet.size
     by_degree = {}
     for (lv, ex), coeff in poly.terms.items():
         by_degree.setdefault(sum(ex), CharPoly()).add_term(lv, ex, coeff)

@@ -18,6 +18,9 @@ from .osptab import RejectError
 
 USAGE_ERROR = 2
 
+# box bound of the battery's super closure check
+SUPER_CLOSURE_BOUND = 8
+
 # fault injection for ``verify --mutate``: name -> (module, attribute,
 # replacement), patched in for the battery only
 FAULTS = {
@@ -72,9 +75,13 @@ def _bounded_config(args):
 def _write(args, text):
     if args.output in ("-", None):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise RejectError("cannot write %s: %s"
+                          % (args.output, exc.strerror)) from None
 
 
 def cmd_enumerate(args):
@@ -162,10 +169,11 @@ def _check_classical_crystal(m, n, lam, ell):
                 "axiom_violations": len(bad)}
 
 
-def _check_super_closure(m, n, lam, ell, bound=8):
+def _check_super_closure(m, n, lam, ell):
     alphabet = make_alphabet("super", m, n)
     plan = osptab.shape_plan(lam, ell, alphabet)
-    graph = crystal.explore(plan, alphabet, "super", bound)  # raises on violation
+    # raises on violation
+    graph = crystal.explore(plan, alphabet, "super", SUPER_CLOSURE_BOUND)
     bad = crystal.check_axioms(graph)
     H = osptab.highest_weight_tuple(plan, alphabet, "super")
     hid = graph.index()[H]

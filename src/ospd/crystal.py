@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .alphabet import Weight, simple_root_delta, simple_root_indices
+from .alphabet import (Weight, simple_root_delta, simple_root_indices,
+                       zero_weight)
 from .osptab import (OspTableauD, SpinColumn, enumerate_tableaux,
                      highest_ssyt_cols, part_cols, part_from_cols,
                      part_letters, parts_from_columns, slot_of, tuple_to_json,
                      tuple_to_matrix)
 from .signature import survivors
-from .tableau import BiwordMatrix, column_is_valid, letters_weight, make_matrix
+from .tableau import column_is_valid, letters_weight
 
 
 class CrystalError(Exception):
@@ -84,16 +85,6 @@ def _spin_sign(col):
     return "."
 
 
-def e_spin_bar(alphabet, spin):
-    new = spin_e_col(alphabet, spin.col)
-    return None if new is None else SpinColumn(new)
-
-
-def f_spin_bar(alphabet, spin):
-    new = spin_f_col(alphabet, spin.col)
-    return None if new is None else SpinColumn(new)
-
-
 # ---------------------------------------------------------------------------
 # the tensor engine
 
@@ -139,32 +130,6 @@ def _apply_letters(alphabet, family, color, seq, op):
     return idx, new
 
 
-def e_word(alphabet, family, color, word, reading="given"):
-    return _word_op(alphabet, family, color, word, "e", reading)
-
-
-def f_word(alphabet, family, color, word, reading="given"):
-    return _word_op(alphabet, family, color, word, "f", reading)
-
-
-def _word_op(alphabet, family, color, word, op, reading):
-    """Operator on a plain word of letters, viewed as the tensor of its
-    letters in the given order ('given') or the reversed order ('reverse')."""
-    if color.is_spin:
-        raise ValueError("the spin color does not act letterwise")
-    seq = list(word)
-    if reading == "reverse":
-        seq.reverse()
-    hit = _apply_letters(alphabet, family, color, seq, op)
-    if hit is None:
-        return None
-    idx, new = hit
-    seq[idx] = new
-    if reading == "reverse":
-        seq.reverse()
-    return tuple(seq)
-
-
 # ---------------------------------------------------------------------------
 # operators on matrix-column lists
 
@@ -203,16 +168,6 @@ def _cols_op(alphabet, family, color, cols, op):
     return tuple(tuple(c) for c in out)
 
 
-def e_matrix(alphabet, family, color, matrix):
-    cols = _cols_op(alphabet, family, color, matrix.cols, "e")
-    return None if cols is None else make_matrix(cols)
-
-
-def f_matrix(alphabet, family, color, matrix):
-    cols = _cols_op(alphabet, family, color, matrix.cols, "f")
-    return None if cols is None else make_matrix(cols)
-
-
 # ---------------------------------------------------------------------------
 # operators on components and full tableaux
 
@@ -227,12 +182,8 @@ def _part_op(alphabet, family, color, part, op):
 
 
 def e_pair_bar(alphabet, family, color, part):
-    """Operator on a single two-column or spin component."""
+    """Raising operator on a single two-column or spin component."""
     return _part_op(alphabet, family, color, part, "e")
-
-
-def f_pair_bar(alphabet, family, color, part):
-    return _part_op(alphabet, family, color, part, "f")
 
 
 def e_osp(alphabet, family, color, tt):
@@ -253,34 +204,6 @@ def _osp_op(alphabet, family, color, tt, op):
         raise CrystalError("tableau left its set: %s" % exc) from exc
 
 
-def is_highest_weight(alphabet, family, tt):
-    return all(e_osp(alphabet, family, color, tt) is None
-               for color in simple_root_indices(alphabet))
-
-
-def eps_phi(alphabet, family, color, tt, cap=10000):
-    """String statistics by repeated application."""
-    eps = 0
-    cur = tt
-    while True:
-        cur = e_osp(alphabet, family, color, cur)
-        if cur is None:
-            break
-        eps += 1
-        if eps > cap:
-            raise CrystalError("runaway raising string")
-    phi = 0
-    cur = tt
-    while True:
-        cur = f_osp(alphabet, family, color, cur)
-        if cur is None:
-            break
-        phi += 1
-        if phi > cap:
-            raise CrystalError("runaway lowering string")
-    return eps, phi
-
-
 # ---------------------------------------------------------------------------
 # weights
 
@@ -291,7 +214,7 @@ def part_weight(alphabet, part):
 
 
 def tuple_weight(alphabet, tt):
-    total = Weight(0, (0,) * alphabet.size)
+    total = zero_weight(alphabet)
     for part in tt.parts:
         total = total + part_weight(alphabet, part)
     return total
@@ -322,20 +245,6 @@ def is_genuine_highest(alphabet, family, tt):
     p_cols, _ = rsk(tuple_to_matrix(tt))
     shape = straight_shape(p_cols)
     return p_cols == highest_ssyt_cols(alphabet, family, shape)
-
-
-# ---------------------------------------------------------------------------
-# the Fock-space column bijection
-
-def psi_plus(matrix):
-    """One-column matrices are exactly the spin columns."""
-    if not isinstance(matrix, BiwordMatrix) or matrix.ell != 1:
-        raise ValueError("psi_plus expects a one-column matrix")
-    return SpinColumn(matrix.cols[0])
-
-
-def psi_plus_inverse(spin):
-    return make_matrix((spin.col,))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ from .osptab import (BarPair, SpinColumn, is_admissible, lr_split, osp_pairs,
                      part_cols, part_from_cols, slot_of, spin_columns,
                      star_split)
 
+# member budget and largest a of each suite's pools, and the draw limit
+SPLIT_BUDGET, SPLIT_MAX_A = 8, 4
+ADMISSIBLE_BUDGET, ADMISSIBLE_MAX_A = 6, 3
+MAX_ATTEMPTS = 2000000
+
 
 def _remove_one(col, letter):
     col = list(col)
@@ -100,32 +105,29 @@ def check_lemma_clauses(alphabet, t, t_new, which):
     return out
 
 
-def _member_pool(alphabet, max_a, budget, rng, extra_domino_bias=True):
+def _member_pool(alphabet, rng):
     """A pool of two-column members, enriched with domino-topped columns."""
     pool = []
-    for a in range(max_a + 1):
-        pool.extend(osp_pairs(alphabet, a, budget))
-    if extra_domino_bias:
-        pool = [t for t in pool] + [t for t in pool
-                                    if _top_domino(t.right) or _top_domino(t.left)]
+    for a in range(SPLIT_MAX_A + 1):
+        pool.extend(osp_pairs(alphabet, a, SPLIT_BUDGET))
+    pool += [t for t in pool if _top_domino(t.right) or _top_domino(t.left)]
     rng.shuffle(pool)
     return pool
 
 
-def run_split_lemma_suite(alphabet, per_clause=2000, seed=1, budget=8,
-                          max_a=4, max_attempts=2000000):
+def run_split_lemma_suite(alphabet, per_clause=2000, seed=1):
     """Check the twenty clauses on randomly drawn members.
 
     Returns a report with counts per clause and the list of failures.
     """
     rng = random.Random(seed)
     spin = simple_root_indices(alphabet)[0]
-    pool = _member_pool(alphabet, max_a, budget, rng)
+    pool = _member_pool(alphabet, rng)
     counts = {}
     failures = []
     attempts = 0
     want = {(lemma, k) for lemma in "RL" for k in range(1, 11)}
-    while attempts < max_attempts:
+    while attempts < MAX_ATTEMPTS:
         attempts += 1
         if all(counts.get(key, 0) >= per_clause for key in want):
             break
@@ -197,14 +199,14 @@ def _pair_case(old, new):
     return "T%s%s" % (side, _which_column_moved(a, b))
 
 
-def run_admissibility_suite(alphabet, per_case=2000, seed=2, budget=6,
-                            max_a=3, max_attempts=2000000):
+def run_admissibility_suite(alphabet, per_case=2000, seed=2):
     """Raising an admissible adjacent pair keeps it admissible; instances
     are bucketed by which column the operator hit."""
     rng = random.Random(seed)
     spin = simple_root_indices(alphabet)[0]
-    pools = [
-        sorted(osp_pairs(alphabet, a, budget + a)) for a in range(max_a + 1)]
+    budget = ADMISSIBLE_BUDGET
+    pools = [sorted(osp_pairs(alphabet, a, budget + a))
+             for a in range(ADMISSIBLE_MAX_A + 1)]
     spins = sorted(spin_columns(alphabet, "+", budget)) + \
         sorted(spin_columns(alphabet, "-", budget))
     minus_spins = [s for s in spins if s.sign == "-"]
@@ -235,7 +237,7 @@ def run_admissibility_suite(alphabet, per_case=2000, seed=2, budget=6,
         return tuple(sorted(modes))
 
     modes = open_modes()
-    while attempts < max_attempts and modes:
+    while attempts < MAX_ATTEMPTS and modes:
         attempts += 1
         t2, t1 = _random_adjacent_pair(rng, pools, spins, minus_spins, bars,
                                        modes, inert, active, active_r)

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 from .alphabet import EVEN
 from .signature import Signature, gl_e_matrix, gl_f_matrix, sigma_pair
-from .tableau import (column_is_valid, column_to_json, column_from_json,
-                      conjugate, entry_from_bottom, is_partition, make_matrix,
-                      row_pair_ok)
+from .tableau import (column_is_valid, conjugate, entry_from_bottom,
+                      is_partition, letters_from_json, letters_to_json,
+                      make_matrix, row_pair_ok)
 
 
 class RejectError(ValueError):
@@ -88,7 +88,9 @@ def slot_of(part):
         return "spin", part.sign
     if isinstance(part, BarPair):
         return "bar", None
-    return "pair", part.a
+    if isinstance(part, OspPair):
+        return "pair", part.a
+    raise RejectError("%r is not a component" % (part,))
 
 
 def part_from_cols(slot, cols):
@@ -96,7 +98,14 @@ def part_from_cols(slot, cols):
     of :func:`part_cols`; raises RejectError when they leave its class."""
     kind, param = slot
     if kind == "spin":
-        return SpinColumn(cols[0])
+        (col,) = cols
+        if not column_is_valid(col):
+            raise RejectError("spin column is not semistandard")
+        part = SpinColumn(tuple(col))
+        if part.sign != param:
+            raise RejectError("spin column of sign %s in a %s slot"
+                              % (part.sign, param))
+        return part
     right, left = cols
     if kind == "bar":
         return make_bar_pair(left, right)
@@ -327,11 +336,6 @@ def _admissible_nonbar(t, s):
     return _entries_leq(rt, s_l, shift=t.a - a_p)
 
 
-def _admissible_bar(t_right, s_left):
-    """(T^R, S^L) is a member of the barred class."""
-    return try_make_bar_pair(t_right, s_left) is not None
-
-
 def is_admissible(t, s):
     """The admissibility relation T < S between adjacent components."""
     if isinstance(t, OspPair):
@@ -340,10 +344,11 @@ def is_admissible(t, s):
         if isinstance(s, BarPair):
             return _admissible_nonbar(t, SpinColumn(s.left))
     elif isinstance(t, BarPair):
+        # (T^R, S^L) is a member of the barred class
         if isinstance(s, BarPair):
-            return _admissible_bar(t.right, s.left)
+            return try_make_bar_pair(t.right, s.left) is not None
         if isinstance(s, SpinColumn) and s.sign == "-":
-            return _admissible_bar(t.right, s.col)
+            return try_make_bar_pair(t.right, s.col) is not None
     raise RejectError("no admissibility relation between %s and %s"
                       % (type(t).__name__, type(s).__name__))
 
@@ -477,21 +482,12 @@ def validate(parts, plan, alphabet=None):
     if len(parts) != len(kinds):
         raise RejectError("expected %d components, got %d"
                           % (len(kinds), len(parts)))
-    for idx, (part, (kind, param)) in enumerate(zip(parts, kinds)):
+    for idx, (part, slot) in enumerate(zip(parts, kinds)):
         k = len(parts) - 1 - idx if plan.r else len(parts) - idx  # math index
-        if kind == "pair":
-            if not isinstance(part, OspPair) or part.a != param:
-                raise RejectError("component T_%d must be an a=%s pair" % (k, param))
-            classify_pair(part.left, part.right, part.a)
-        elif kind == "bar":
-            if not isinstance(part, BarPair):
-                raise RejectError("component T_%d must be barred" % k)
-            make_bar_pair(part.left, part.right)
-        else:
-            if not isinstance(part, SpinColumn) or part.sign != param:
-                raise RejectError("component T_0 must be a %s spin column" % param)
-            if not column_is_valid(part.col):
-                raise RejectError("component T_0 is not a column")
+        if slot_of(part) != slot:
+            raise RejectError("component T_%d must fill the slot %s" % (k, slot))
+        if part_from_cols(slot, part_cols(part)) != part:
+            raise RejectError("component T_%d does not match its columns" % k)
         if alphabet is not None:
             for a in part_letters(part):
                 if not alphabet.contains(a):
@@ -698,24 +694,27 @@ def highest_weight_tuple(plan, alphabet, family):
 def part_to_json(part):
     if isinstance(part, SpinColumn):
         return {"kind": "spin", "sign": part.sign,
-                "col": column_to_json(part.col)["col"]}
+                "col": letters_to_json(part.col)}
     name = "bar" if isinstance(part, BarPair) else "pair"
     obj = {"kind": name,
-           "L": column_to_json(part.left)["col"],
-           "R": column_to_json(part.right)["col"]}
+           "L": letters_to_json(part.left),
+           "R": letters_to_json(part.right)}
     if name == "pair":
         obj["a"] = part.a
     return obj
 
 
 def part_from_json(alphabet, obj):
-    if obj["kind"] == "spin":
-        return SpinColumn(column_from_json(alphabet, {"col": obj["col"]}))
-    left = column_from_json(alphabet, {"col": obj["L"]})
-    right = column_from_json(alphabet, {"col": obj["R"]})
-    if obj["kind"] == "bar":
-        return make_bar_pair(left, right)
-    return classify_pair(left, right, obj["a"])
+    kind = obj["kind"]
+    if kind not in ("pair", "bar", "spin"):
+        raise RejectError("unknown component kind %r" % (kind,))
+    if kind == "spin":
+        slot, names = (kind, obj["sign"]), (obj["col"],)
+    else:
+        slot = (kind, obj["a"] if kind == "pair" else None)
+        names = (obj["R"], obj["L"])
+    return part_from_cols(slot, tuple(letters_from_json(alphabet, n)
+                                      for n in names))
 
 
 def plan_to_json(plan):

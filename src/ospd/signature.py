@@ -40,13 +40,6 @@ def survivors(symbols):
     return minus, stack
 
 
-def reduce(symbols):
-    """Reduced sequence, cancelled pairs replaced by dots."""
-    minus, plus = survivors(symbols)
-    keep = set(minus) | set(plus)
-    return tuple(s if i in keep else DOT for i, s in enumerate(symbols))
-
-
 def signature_of(symbols):
     minus, plus = survivors(symbols)
     return Signature(len(minus), len(plus))
@@ -91,26 +84,6 @@ def _word_symbols(word, i):
 
 def sigma_word(word, i):
     return signature_of(_word_symbols(word, i))
-
-
-def gl_e_word(word, i):
-    """Replace the letter i+1 at the rightmost surviving '-' by i."""
-    minus, _ = survivors(_word_symbols(word, i))
-    if not minus:
-        return None
-    word = list(word)
-    word[minus[-1]] = i
-    return tuple(word)
-
-
-def gl_f_word(word, i):
-    """Replace the letter i at the leftmost surviving '+' by i+1."""
-    _, plus = survivors(_word_symbols(word, i))
-    if not plus:
-        return None
-    word = list(word)
-    word[plus[0]] = i + 1
-    return tuple(word)
 
 
 # ---------------------------------------------------------------------------

@@ -111,13 +111,6 @@ def straight_is_semistandard(cols):
     return True
 
 
-def straight_word(cols):
-    out = []
-    for col in reversed(cols):
-        out.extend(col)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # biword matrices
 
@@ -183,12 +176,6 @@ def insert_letter(cols, a):
         a, cols[j][pos] = cols[j][pos], a
         j += 1
     return tuple(tuple(c) for c in cols), cell
-
-
-def insert_word(cols, letters):
-    for a in letters:
-        cols, _ = insert_letter(cols, a)
-    return cols
 
 
 def rsk(matrix):
@@ -276,12 +263,3 @@ def letters_to_json(letters):
 
 def letters_from_json(alphabet, names):
     return tuple(alphabet.parse(s) for s in names)
-
-
-def column_to_json(col):
-    return {"col": letters_to_json(col)}
-
-
-def column_from_json(alphabet, obj):
-    return letters_from_json(alphabet, obj["col"])
-

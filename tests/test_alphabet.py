@@ -2,8 +2,11 @@ import itertools
 
 import pytest
 
-from ospd import compare, make_alphabet, simple_root_indices
+from ospd import make_alphabet, simple_root_indices
 from ospd.alphabet import EVEN, ODD, Weight, simple_root_delta, zero_weight
+from ospd.osptab import RejectError, SpinColumn, shape_plan, validate
+
+from conftest import letters
 
 
 def test_super_alphabet_letters():
@@ -30,28 +33,31 @@ def test_m_below_two_rejected():
 
 
 def test_compare_examples():
+    # letters compare by rank, which is how sorted_column orders them
     a = make_alphabet("super", 4, 3)
-    assert compare(a.parse("b4"), a.parse("b1")) == -1
-    assert compare(a.parse("b1"), a.parse("1/2")) == -1
-    assert compare(a.parse("3/2"), a.parse("3/2")) == 0
+    assert a.parse("b4") < a.parse("b1") < a.parse("1/2")
+    assert a.parse("3/2") == a.parse("3/2")
 
 
 def test_compare_total_order_small_alphabets():
     for kind, m, n in [("classical", 4, 3), ("super", 4, 3), ("super", 6, 6)]:
         a = make_alphabet(kind, m, n)
         assert a.size <= 12
+        assert sorted(reversed(a.letters)) == list(a.letters)
         for x, y in itertools.product(a.letters, repeat=2):
-            assert compare(x, y) == -compare(y, x)
-        for x, y, z in itertools.product(a.letters, repeat=3):
-            if compare(x, y) <= 0 and compare(y, z) <= 0:
-                assert compare(x, z) <= 0
+            assert (x < y) == (x.rank < y.rank)
+            assert (x == y) == (x.rank == y.rank)
 
 
-def test_mixed_alphabet_comparison_rejected():
+def test_foreign_letter_rejected():
+    # rank 2 is 1/2 over 2|2 but b1 over classical 3+1
     a = make_alphabet("super", 2, 2)
     b = make_alphabet("classical", 3, 1)
-    with pytest.raises(ValueError):
-        compare(a.parse("1/2"), b.parse("b1"))
+    assert not a.contains(b.parse("b1"))
+    assert a.contains(a.parse("1/2"))
+    plan = shape_plan((), 1, a)
+    with pytest.raises(RejectError):
+        validate([SpinColumn(letters(b, "b3", "b2", "b1", "1"))], plan, a)
 
 
 def test_simple_root_indices():

@@ -100,6 +100,7 @@ def test_dims():
 
 PLAN = ("--family", "super", "-m", "2", "-n", "2", "--lambda", "1,1",
         "--ell", "2")
+MISSING = "<missing directory>"  # replaced by one under tmp_path
 
 
 @pytest.mark.parametrize("args, message", [
@@ -114,9 +115,12 @@ PLAN = ("--family", "super", "-m", "2", "-n", "2", "--lambda", "1,1",
     (("verify", "--mutate", "no-such-fault"), "invalid choice"),
     (("verify", "--jobs", "2"), "unrecognized arguments"),
     (("verify", "--family", "super"), "unrecognized arguments"),
+    (("dims", "--family", "classical", "-m", "4", "--lambda", "0", "--ell",
+      "1", "-o", MISSING + "/x"), "cannot write"),
 ])
-def test_usage_errors_exit_2(args, message):
-    code, out, err = run_cli(*args)
+def test_usage_errors_exit_2(args, message, tmp_path):
+    missing = str(tmp_path / "missing")
+    code, out, err = run_cli(*(a.replace(MISSING, missing) for a in args))
     assert code == 2 and out == ""
     assert message in err
 

@@ -2,17 +2,31 @@ import pytest
 
 from ospd import make_alphabet, shape_plan
 from ospd.alphabet import parse_root_index, simple_root_delta, simple_root_indices
-from ospd.crystal import (check_axioms, e_osp, e_pair_bar, e_spin_bar, e_word,
-                          explore, f_osp, f_pair_bar, f_spin_bar, f_reachable,
-                          f_word, graph_to_dot, graph_to_json,
-                          is_genuine_highest,
-                          is_highest_weight, letter_e, letter_f, plan_weight,
-                          psi_plus, psi_plus_inverse, tuple_weight)
+from ospd.crystal import (_cols_op, _part_op, check_axioms, e_osp, e_pair_bar,
+                          explore, f_osp, f_reachable, graph_to_dot,
+                          graph_to_json, is_genuine_highest, letter_e,
+                          letter_f, plan_weight, tuple_weight)
 from ospd.osptab import (SpinColumn, classify_pair, enumerate_tableaux,
-                         highest_weight_tuple, osp_pairs)
-from ospd.tableau import letters_weight, make_matrix
+                         highest_weight_tuple, osp_pairs, part_cols,
+                         part_from_cols, slot_of)
+from ospd.tableau import letters_weight
 
 from conftest import letters, random_column
+
+
+def word_op(A, family, color, word, op):
+    """The engine on a word given in tensor order, passed as one-letter
+    columns: the classical family reads the columns first to last, the
+    super family last to first."""
+    cols = tuple((a,) for a in word)
+    if family == "super":
+        cols = cols[::-1]
+    out = _cols_op(A, family, color, cols, op)
+    if out is None:
+        return None
+    if family == "super":
+        out = out[::-1]
+    return tuple(a for (a,) in out)
 
 
 def test_letter_chain_super():
@@ -37,7 +51,7 @@ def test_word_ops_single_letters_reduce_to_letter_ops():
         A = make_alphabet(kind, 3, 2)
         for color in simple_root_indices(A)[1:]:
             for a in A.letters:
-                up = e_word(A, kind, color, (a,))
+                up = word_op(A, kind, color, (a,), "e")
                 assert up == (None if letter_e(A, color, a) is None
                               else (letter_e(A, color, a),))
 
@@ -50,10 +64,10 @@ def test_word_ops_inverse_and_weight(rng):
             w = tuple(A.letter(rng.randrange(A.size))
                       for _ in range(rng.randrange(1, 8)))
             color = rng.choice(colors)
-            up = e_word(A, kind, color, w)
+            up = word_op(A, kind, color, w, "e")
             if up is None:
                 continue
-            assert f_word(A, kind, color, up) == w
+            assert word_op(A, kind, color, up, "f") == w
             root = simple_root_delta(A, color)
             assert letters_weight(A, up).counts == \
                 tuple(x + y for x, y in zip(letters_weight(A, w).counts,
@@ -61,21 +75,31 @@ def test_word_ops_inverse_and_weight(rng):
 
 
 def test_reading_switch_mirrors():
+    # the super family reads one-letter columns last to first, the
+    # classical family first to last: 3/2 (x) 1/2 acts, 1/2 (x) 3/2 cancels
     A = make_alphabet("super", 2, 2)
     color = parse_root_index(A, "1/2")
-    w = letters(A, "3/2", "1/2")
-    # in the given order the pair cancels; in the reverse reading it acts
-    assert e_word(A, "super", color, w, reading="given") is not None
-    assert e_word(A, "super", color, tuple(reversed(w)), reading="given") is None
-    assert e_word(A, "super", color, w, reading="reverse") is None
+    cols = tuple((a,) for a in letters(A, "3/2", "1/2"))
+    assert _cols_op(A, "super", color, cols[::-1], "e") is not None
+    assert _cols_op(A, "super", color, cols, "e") is None
+    C = make_alphabet("classical", 2, 2)
+    color = parse_root_index(C, "1")
+    cols = tuple((a,) for a in letters(C, "2", "1"))
+    assert _cols_op(C, "classical", color, cols, "e") is not None
+    assert _cols_op(C, "classical", color, cols[::-1], "e") is None
 
 
 def test_spin_domino_ops(cl40):
     A = cl40
-    assert e_spin_bar(A, SpinColumn(letters(A, "b4", "b3"))) == SpinColumn(())
-    assert e_spin_bar(A, SpinColumn(letters(A, "b4", "b2"))) is None
-    assert f_spin_bar(A, SpinColumn(())) == SpinColumn(letters(A, "b4", "b3"))
-    assert f_spin_bar(A, SpinColumn(letters(A, "b3", "b2"))) is None
+    spin = simple_root_indices(A)[0]
+
+    def act(col, op):
+        return _part_op(A, "classical", spin, SpinColumn(col), op)
+
+    assert act(letters(A, "b4", "b3"), "e") == SpinColumn(())
+    assert act(letters(A, "b4", "b2"), "e") is None
+    assert act((), "f") == SpinColumn(letters(A, "b4", "b3"))
+    assert act(letters(A, "b3", "b2"), "f") is None
 
 
 def test_pair_ops_shape_movement(cl40):
@@ -109,7 +133,7 @@ def test_pair_ops_inverse(rng):
             color = rng.choice(colors)
             up = e_pair_bar(A, kind, color, t)
             if up is not None:
-                assert f_pair_bar(A, kind, color, up) == t
+                assert _part_op(A, kind, color, up, "f") == t
 
 
 def test_highest_tuple_is_frozen():
@@ -119,7 +143,8 @@ def test_highest_tuple_is_frozen():
         for lam, ell in [((), 1), ((1,), 1), ((1, 1), 2), ((2,), 2)]:
             plan = shape_plan(lam, ell, A)
             H = highest_weight_tuple(plan, A, kind)
-            assert is_highest_weight(A, kind, H)
+            assert all(e_osp(A, kind, color, H) is None
+                       for color in simple_root_indices(A))
             assert tuple_weight(A, H) == plan_weight(A, plan)
 
 
@@ -161,35 +186,31 @@ def test_graph_export(cl40):
     assert dot.startswith("digraph") and "doublecircle" in dot
 
 
-def test_psi_plus_roundtrip_and_intertwining(rng, sup22):
+def test_spin_component_is_its_column(rng, sup22):
+    # a spin column is the one-column matrix of its letters; every operator
+    # acts on it as on that matrix and keeps its sign
     colors = simple_root_indices(sup22)
     for _ in range(500):
         col = None
         while col is None:
             col = random_column(rng, sup22, rng.randrange(0, 7))
-        m = make_matrix((col,))
-        spin = psi_plus(m)
-        assert psi_plus_inverse(spin) == m
+        spin = SpinColumn(col)
+        assert part_cols(spin) == (col,)
+        assert part_from_cols(slot_of(spin), (col,)) == spin
         color = rng.choice(colors)
-        from ospd.crystal import e_matrix, f_matrix
-        up_m = e_matrix(sup22, "super", color, m)
-        up_s = e_pair_bar(sup22, "super", color, spin)
-        assert (up_m is None) == (up_s is None)
-        if up_m is not None:
-            assert psi_plus(up_m) == up_s
-        dn_m = f_matrix(sup22, "super", color, m)
-        dn_s = f_pair_bar(sup22, "super", color, spin)
-        assert (dn_m is None) == (dn_s is None)
-        if dn_m is not None:
-            assert psi_plus(dn_m) == dn_s
+        for op in "ef":
+            moved = _cols_op(sup22, "super", color, (col,), op)
+            image = _part_op(sup22, "super", color, spin, op)
+            assert image == (None if moved is None else SpinColumn(moved[0]))
+            assert image is None or image.sign == spin.sign
 
 
-def test_psi_plus_examples(sup22):
-    assert psi_plus(make_matrix(((),))) == SpinColumn(())
+def test_spin_slot_from_one_column(sup22):
+    assert part_from_cols(("spin", "+"), ((),)) == SpinColumn(())
     col = letters(sup22, "b2", "b1")
-    assert psi_plus(make_matrix((col,))) == SpinColumn(col)
+    assert part_from_cols(("spin", "+"), (col,)) == SpinColumn(col)
     with pytest.raises(ValueError):
-        psi_plus(make_matrix(((), ())))
+        part_from_cols(("spin", "+"), ((), ()))
 
 
 def test_tensor_order_regression_classical(cl40):
@@ -209,7 +230,7 @@ def test_tensor_order_regression_super_isotropic(sup22):
     A = sup22
     t = classify_pair(letters(A, "b1", "1/2"), letters(A, "b2", "3/2"), 2)
     zero = parse_root_index(A, "0")
-    down = f_pair_bar(A, "super", zero, t)
+    down = _part_op(A, "super", zero, t, "f")
     assert down.left == letters(A, "1/2", "1/2") and down.right == t.right
     assert e_pair_bar(A, "super", zero, t) is None
 
@@ -235,7 +256,7 @@ def test_f_reachability_matches_raising(cl40):
 def test_string_lengths_match_signature_counts(rng, cl40):
     # for non-spin colors the operational string statistics equal the
     # surviving sign counts of the flattened word
-    from ospd.crystal import eps_phi, _letter_sign
+    from ospd.crystal import _letter_sign
     from ospd.signature import signature_of
     from ospd.osptab import tuple_to_matrix
     vertices = enumerate_tableaux(shape_plan((1,), 2, cl40), cl40)
@@ -245,4 +266,13 @@ def test_string_lengths_match_signature_counts(rng, cl40):
         color = rng.choice(colors)
         word = [a for col in tuple_to_matrix(t).cols for a in col]
         sig = signature_of([_letter_sign(color, a) for a in word])
-        assert eps_phi(cl40, "classical", color, t) == (sig.p, sig.q)
+        assert (string_length(e_osp, cl40, color, t),
+                string_length(f_osp, cl40, color, t)) == (sig.p, sig.q)
+
+
+def string_length(op, A, color, t):
+    """How many times in a row the operator applies to t."""
+    n = 0
+    while (t := op(A, "classical", color, t)) is not None:
+        n += 1
+    return n

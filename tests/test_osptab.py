@@ -5,11 +5,11 @@ import pytest
 from ospd import (classify_pair, enumerate_tableaux, is_admissible, lr_split,
                   make_alphabet, shape_plan, star_split, validate,
                   weyl_dim_D)
-from ospd.osptab import (OspTableauD, RejectError, SpinColumn, all_columns,
-                         highest_weight_tuple, is_admissible_sigma,
-                         lr_split_sliding, osp_pairs, star_split_sliding,
-                         try_classify_pair, tuple_from_json, tuple_to_json,
-                         valid_slide_offsets)
+from ospd.osptab import (OspPair, OspTableauD, RejectError, SpinColumn,
+                         all_columns, highest_weight_tuple,
+                         is_admissible_sigma, lr_split_sliding, osp_pairs,
+                         part_from_cols, star_split_sliding, try_classify_pair,
+                         tuple_from_json, tuple_to_json, valid_slide_offsets)
 from ospd.signature import sigma_pair
 
 from conftest import letters
@@ -206,12 +206,43 @@ def test_validate_reports_failing_condition(cl40):
     good = classify_pair(letters(cl40, "b4", "b3"), (), 2)
     with pytest.raises(RejectError):
         validate([good, good], plan)  # wrong number of components
+    with pytest.raises(RejectError):
+        validate([("b4", "b3")], plan)  # not a component
     plan2 = shape_plan((2, 2), 4, cl40)
     t1 = classify_pair(letters(cl40, "b4", "b3"), (), 2)
     t2 = classify_pair(letters(cl40, "b3", "b2"), (), 2)
     with pytest.raises(RejectError) as err:
         validate([t2, t1], plan2)
     assert "T_2 < T_1" in str(err.value)
+
+
+def test_validate_rejects_a_wrong_residue(cl40):
+    # sigma((b4, b3), ()) = (2, 0) = (a - r, b - r) with r = 0, not 1
+    plan = shape_plan((1, 1), 2, cl40)
+    left = letters(cl40, "b4", "b3")
+    assert validate([classify_pair(left, (), 2)], plan, cl40)
+    with pytest.raises(RejectError):
+        validate([OspPair(left, (), 2, 1)], plan, cl40)
+
+
+def test_spin_slot_rejects_wrong_sign_and_invalid_columns(cl40):
+    b4, b3 = letters(cl40, "b4", "b3")
+    assert part_from_cols(("spin", "-"), ((b4,),)) == SpinColumn((b4,))
+    with pytest.raises(RejectError):
+        part_from_cols(("spin", "+"), ((b4,),))
+    with pytest.raises(RejectError):
+        part_from_cols(("spin", "+"), ((b3, b4),))
+    plan = shape_plan((), 1, cl40)
+    with pytest.raises(RejectError):
+        validate([SpinColumn((b4,))], plan, cl40)
+    blob = tuple_to_json(OspTableauD((SpinColumn((b4, b3)),), plan))
+    assert tuple_from_json(cl40, blob).parts == (SpinColumn((b4, b3)),)
+    blob["parts"][0]["sign"] = "-"
+    with pytest.raises(RejectError):
+        tuple_from_json(cl40, blob)
+    blob["parts"][0]["kind"] = "column"
+    with pytest.raises(RejectError):
+        tuple_from_json(cl40, blob)
 
 
 def test_enumerate_spin_level_one(cl40):

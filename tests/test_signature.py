@@ -3,17 +3,24 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ospd import rsk
-from ospd.signature import (Signature, gl_e_matrix, gl_e_tableau, gl_e_word,
-                            gl_f_matrix, gl_f_tableau, gl_f_word, reduce,
-                            sigma_matrix, sigma_pair, sigma_tableau,
-                            sigma_word)
+from ospd.signature import (Signature, gl_e_matrix, gl_e_tableau,
+                            gl_f_matrix, gl_f_tableau, sigma_matrix,
+                            sigma_pair, sigma_tableau, sigma_word, survivors)
 from ospd.tableau import make_matrix
 
 from conftest import letters, random_column, random_matrix
 
 
+def reduce(symbols):
+    """The reduced sequence: cancelled pairs replaced by dots."""
+    minus, plus = survivors(symbols)
+    keep = set(minus) | set(plus)
+    return tuple(s if i in keep else "." for i, s in enumerate(symbols))
+
+
 def test_reduce_examples():
-    assert reduce(("+", "-")) == (".", ".")
+    assert survivors(("+", "-")) == ([], [])
+    assert survivors(("-", "+", "-", "+")) == ([0], [3])
     assert reduce(("-", "+", "-", "+")) == ("-", ".", ".", "+")
 
 
@@ -102,17 +109,19 @@ def test_invariance_of_signature(rng, sup22):
 
 
 def test_gl_e_null_on_reduced_word():
-    assert gl_e_word((1, 2), 1) is None  # word "i i+1" cancels
+    # the column (1, 2) reads "i i+1", which cancels
+    assert sigma_word((1, 2), 1) == (0, 0)
+    assert gl_e_tableau(((1, 2),), 1) is None
+    assert gl_f_tableau(((1, 2),), 1) is None
 
 
-def test_gl_f_then_e_identity(rng):
+def test_gl_f_then_e_identity(rng, sup22):
     for _ in range(500):
-        n = rng.randrange(1, 12)
-        w = tuple(rng.randrange(1, 5) for _ in range(n))
+        m = random_matrix(rng, sup22, 4, 10)
         i = rng.randrange(1, 4)
-        up = gl_e_word(w, i)
+        up = gl_e_matrix(m, i)
         if up is not None:
-            assert gl_f_word(up, i) == w
+            assert gl_f_matrix(up, i) == m
 
 
 def test_rsk_is_bicrystal_morphism(rng, sup22):

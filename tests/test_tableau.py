@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospd import inverse_rsk, make_alphabet, rsk
-from ospd.tableau import (column_is_valid, insert_letter, insert_word,
-                          letters_weight, make_matrix, row_pair_ok,
-                          sorted_column, straight_is_semistandard,
-                          straight_shape, straight_word)
-from ospd.osptab import all_columns, classify_pair
+from ospd.tableau import (column_is_valid, insert_letter, letters_weight,
+                          make_matrix, row_pair_ok, sorted_column,
+                          straight_is_semistandard, straight_shape)
+from ospd.osptab import SpinColumn, all_columns, classify_pair, part_letters
 
 from conftest import letters, random_matrix
+
+
+def insert_word(cols, word):
+    for a in word:
+        cols, _ = insert_letter(cols, a)
+    return cols
 
 
 def test_column_semistandard_examples(sup46, cl40):
@@ -42,16 +47,17 @@ def test_word_of_worked_example(sup46):
     assert t.shape() == (3, 2, 2)
     assert all(row_pair_ok(x, y) for x, y in zip(t.left, t.right[2:]))
     # the reading word takes the columns right to left, each top to bottom
-    assert [a.name for a in straight_word((t.left, t.right))] == \
+    assert [a.name for a in part_letters(t)] == \
         ["b3", "b2", "3/2", "5/2", "b4", "b1", "1/2", "3/2", "3/2"]
-    # a straight tableau reads right-to-left by columns as well
-    assert straight_word((letters(sup46, "b4", "b3"), letters(sup46, "b4"),)) \
-        == letters(sup46, "b4", "b4", "b3")
+    # a straight tableau reads right-to-left by columns as well, and its
+    # reading word column-inserts back to it
+    assert insert_word((), letters(sup46, "b4", "b4", "b3")) == \
+        (letters(sup46, "b4", "b3"), letters(sup46, "b4"))
 
 
 def test_empty_word_and_weight(cl40):
-    assert straight_word(()) == ()
-    assert letters_weight(cl40, straight_word(())).counts == (0, 0, 0, 0)
+    assert part_letters(SpinColumn(())) == ()
+    assert letters_weight(cl40, ()).counts == (0, 0, 0, 0)
 
 
 def test_insert_into_empty(cl40):
