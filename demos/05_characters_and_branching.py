@@ -9,10 +9,9 @@ transfers the classically computed table to a super alphabet.
 """
 
 from ospd import make_alphabet, shape_plan, verify_pieri
-from ospd.character import (CharPoly, enumerate_recording, k_coefficients,
-                            k_from_character, k_set_via_inverse, s_character,
-                            super_schur, partitions_up_to)
-from ospd.tableau import conjugate
+from ospd.character import (CharPoly, contents_up_to, enumerate_recording,
+                            k_coefficients, k_from_character,
+                            k_set_via_inverse, s_character, super_schur)
 
 lam, ell = (1,), 2
 bound = 6
@@ -32,12 +31,12 @@ print("\npeeling the classical character gives the same table:",
 
 oracle = make_alphabet("classical", 9, 0)
 plan = shape_plan(lam, ell)
-count_inverse = sum(
-    1 for mu in partitions_up_to(bound, ell)
-    for q in enumerate_recording(conjugate(mu), ell)
-    if k_set_via_inverse(plan, q, oracle))
-print("inverse-RSK membership counts the same total:",
-      count_inverse == sum(table.values()))
+recording = [q for content in contents_up_to(bound, ell)
+             for q in enumerate_recording(content)]
+assert len(recording) == 50  # every SSYT in 1..2 with at most 6 boxes
+count_inverse = sum(1 for q in recording if k_set_via_inverse(plan, q, oracle))
+print("inverse-RSK membership over all %d recording tableaux counts the "
+      "same total:" % len(recording), count_inverse == sum(table.values()))
 
 sup = make_alphabet("super", 2, 2)
 plan_s = shape_plan(lam, ell, sup)

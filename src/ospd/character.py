@@ -8,7 +8,6 @@ coefficient.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .osptab import (RejectError, enumerate_tableaux, matrix_to_tuple,
@@ -148,19 +147,22 @@ class QContext:
     Columns are numbered so the spin slot (present when r = 1) is column 1
     and the pair T_j occupies columns (r + 2j - 1, r + 2j); the color inside
     the pair T_{q+k} is then c_k = r + 2q + 2k - 1 and the boundary color
-    between the pair block and the middle block is r + 2q.
+    between the pair block and the middle block is r + 2q.  Given
+    ``content`` (the number of entries equal to 1..ell) and no columns, it
+    serves the clauses that read only the content.
     """
 
-    def __init__(self, plan, q_cols):
+    def __init__(self, plan, q_cols, content=None):
         self.plan = plan
         self.q = q_cols
-        counts = [0] * (plan.ell + 1)
-        for col in q_cols:
-            for e in col:
-                if not 1 <= e <= plan.ell:
-                    raise RejectError("entry %r outside 1..ell" % (e,))
-                counts[e] += 1
-        self.m = counts  # m[i] = |column i|, 1-based
+        if content is None:
+            content = [0] * plan.ell
+            for col in q_cols:
+                for e in col:
+                    if not 1 <= e <= plan.ell:
+                        raise RejectError("entry %r outside 1..ell" % (e,))
+                    content[e - 1] += 1
+        self.m = [0, *content]  # m[i] = |column i|, 1-based
         self.s = plan.r
         self.r0 = 1 if plan.sign == "-" else 0
         self.rk = {}
@@ -349,29 +351,44 @@ def in_k_set(plan, q_cols):
         return False
 
 
-def enumerate_recording(mu_conj, ell):
-    """All SSYT with entries in 1..ell of shape mu_conj, column-major."""
-    heights = conjugate(mu_conj)
-    results = []
+def content_admits(plan, content):
+    """Do (Q1), (Q2), (Q7) and (Q8), which read only the content of Q, hold?"""
+    ctx = QContext(plan, (), content)
+    return q1(ctx) and q2(ctx) and q7(ctx) and q8(ctx)
 
-    def columns_at(h, prev):
-        # strictly increasing columns of height h, weakly dominating prev
-        for combo in itertools.combinations(range(1, ell + 1), h):
-            if prev is None or all(prev[i] <= combo[i] for i in range(h)):
-                yield combo
 
-    def extend(j, cols):
-        if j == len(heights):
-            results.append(tuple(cols))
+def contents_up_to(total, ell):
+    """All contents (m_1, ..., m_ell) of natural numbers with sum <= total."""
+    if ell == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in contents_up_to(total - first, ell - 1):
+            yield (first,) + rest
+
+
+def enumerate_recording(content):
+    """All semistandard tableaux of every straight shape whose entries are
+    content[i - 1] copies of i, column-major.  Letter i is added as a
+    horizontal strip: at most one cell per column, at the column's foot."""
+    tabs = [()]
+    for letter, count in enumerate(content, 1):
+        tabs = [grown for cols in tabs
+                for grown in _add_strip(cols, letter, count)]
+    return tabs
+
+
+def _add_strip(cols, letter, count):
+    def extend(j, left, out):
+        if j == len(cols):
+            yield tuple(out) + ((letter,),) * left
             return
-        prev = cols[-1] if cols else None
-        for col in columns_at(heights[j], prev):
-            cols.append(col)
-            extend(j + 1, cols)
-            cols.pop()
+        col = cols[j]
+        yield from extend(j + 1, left, out + [col])
+        if left and (not out or len(col) < len(out[-1])):
+            yield from extend(j + 1, left - 1, out + [col + (letter,)])
 
-    extend(0, [])
-    return results
+    return extend(0, count, [])
 
 
 def partitions_up_to(total, max_part):
@@ -389,15 +406,19 @@ def partitions_up_to(total, max_part):
 
 
 def k_coefficients(plan, max_size):
-    """The branching multiplicities K_mu for |mu| <= max_size, by direct
-    enumeration of recording tableaux through the twelve conditions."""
-    out = {}
-    for mu in partitions_up_to(max_size, plan.ell):
-        count = sum(1 for q_cols in enumerate_recording(conjugate(mu), plan.ell)
-                    if in_k_set(plan, q_cols))
-        if count:
-            out[mu] = count
-    return out
+    """The branching multiplicities K_mu for |mu| <= max_size: the recording
+    tableaux of each content that passes the content clauses, counted by
+    shape through all twelve conditions."""
+    counts = {}
+    for content in contents_up_to(max_size, plan.ell):
+        if not content_admits(plan, content):
+            continue
+        for q_cols in enumerate_recording(content):
+            if in_k_set(plan, q_cols):
+                mu = tuple(len(c) for c in q_cols)
+                counts[mu] = counts.get(mu, 0) + 1
+    return {mu: counts[mu] for mu in partitions_up_to(max_size, plan.ell)
+            if mu in counts}
 
 
 def k_set_via_inverse(plan, q_cols, alphabet):
@@ -502,12 +523,11 @@ def k_from_character(plan, alphabet, max_boxes=None):
     return out
 
 
-def schur_expansion_matches(plan, alphabet, max_boxes=None, k_table=None):
+def schur_expansion_matches(plan, alphabet, max_boxes=None):
     """Does z^ell * sum K_mu s_mu reproduce the character (truncated for
     bounded runs)?"""
     bound = max_boxes if max_boxes is not None else plan.ell * alphabet.size
-    if k_table is None:
-        k_table = k_coefficients(plan, bound)
+    k_table = k_coefficients(plan, bound)
     lhs = s_character(plan, alphabet, max_boxes)
     rhs = CharPoly()
     for mu, coeff in k_table.items():

@@ -189,9 +189,7 @@ def _check_super_closure(m, n, lam, ell):
 def _check_schur(kind, m, n, lam, ell, bound):
     alphabet = make_alphabet(kind, m, n)
     plan = osptab.shape_plan(lam, ell, alphabet)
-    table = character.k_coefficients(plan, bound if bound is not None
-                                     else plan.ell * alphabet.size)
-    ok = character.schur_expansion_matches(plan, alphabet, bound, table)
+    ok = character.schur_expansion_matches(plan, alphabet, bound)
     rep = character.verify_pieri(plan, alphabet, bound)
     return ok and rep["ok"], {"expansion": ok, "pieri": rep["ok"],
                               "elements": rep["n"]}

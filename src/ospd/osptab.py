@@ -704,15 +704,27 @@ def part_to_json(part):
     return obj
 
 
+def _field(obj, key):
+    if not isinstance(obj, dict) or key not in obj:
+        raise RejectError("JSON object lacks %r" % (key,))
+    return obj[key]
+
+
+def _integer(value, key):
+    if type(value) is not int:  # JSON true reads as a bool, not a count
+        raise RejectError("%r must be an integer, not %r" % (key, value))
+    return value
+
+
 def part_from_json(alphabet, obj):
-    kind = obj["kind"]
+    kind = _field(obj, "kind")
     if kind not in ("pair", "bar", "spin"):
         raise RejectError("unknown component kind %r" % (kind,))
     if kind == "spin":
-        slot, names = (kind, obj["sign"]), (obj["col"],)
+        slot, names = (kind, _field(obj, "sign")), (_field(obj, "col"),)
     else:
-        slot = (kind, obj["a"] if kind == "pair" else None)
-        names = (obj["R"], obj["L"])
+        a = _integer(_field(obj, "a"), "a") if kind == "pair" else None
+        slot, names = (kind, a), (_field(obj, "R"), _field(obj, "L"))
     return part_from_cols(slot, tuple(letters_from_json(alphabet, n)
                                       for n in names))
 
@@ -724,7 +736,11 @@ def plan_to_json(plan):
 
 
 def plan_from_json(obj):
-    return shape_plan(tuple(obj["lambda"]), obj["ell"])
+    lam = _field(obj, "lambda")
+    if not isinstance(lam, list):
+        raise RejectError("'lambda' must be a list, not %r" % (lam,))
+    return shape_plan(tuple(_integer(x, "lambda") for x in lam),
+                      _integer(_field(obj, "ell"), "ell"))
 
 
 def tuple_to_json(t):
@@ -733,6 +749,6 @@ def tuple_to_json(t):
 
 
 def tuple_from_json(alphabet, obj):
-    plan = plan_from_json(obj["plan"])
-    parts = tuple(part_from_json(alphabet, p) for p in obj["parts"])
+    plan = plan_from_json(_field(obj, "plan"))
+    parts = tuple(part_from_json(alphabet, p) for p in _field(obj, "parts"))
     return validate(parts, plan, alphabet)

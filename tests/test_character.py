@@ -1,13 +1,48 @@
+import itertools
+
 import pytest
 
 from ospd import make_alphabet, shape_plan, verify_pieri, weyl_dim_D
-from ospd.character import (enumerate_recording, in_k_set, k_coefficients,
+from ospd.character import (content_admits, contents_up_to,
+                            enumerate_recording, in_k_set, k_coefficients,
                             k_from_character, k_set_via_inverse,
                             partitions_up_to, s_character,
                             schur_expansion_matches, super_schur)
 from ospd.osptab import RejectError, enumerate_tableaux
 from ospd.tableau import conjugate
 
+
+def shape_recording(mu_conj, ell):
+    """Oracle for the library's content-first generator: all SSYT with
+    entries in 1..ell of shape mu_conj, column-major, built shape first,
+    column by column over strictly increasing columns."""
+    heights = conjugate(mu_conj)
+    results = []
+
+    def extend(j, cols):
+        if j == len(heights):
+            results.append(tuple(cols))
+            return
+        for col in itertools.combinations(range(1, ell + 1), heights[j]):
+            if not cols or all(cols[-1][i] <= col[i] for i in range(len(col))):
+                cols.append(col)
+                extend(j + 1, cols)
+                cols.pop()
+
+    extend(0, [])
+    return results
+
+
+def all_recording(total, ell):
+    """Every recording tableau with entries in 1..ell and at most ``total``
+    boxes, content by content, whether or not the content clauses hold."""
+    return [q_cols for content in contents_up_to(total, ell)
+            for q_cols in enumerate_recording(content)]
+
+
+def content_of(q_cols, ell):
+    return tuple(sum(col.count(i) for col in q_cols)
+                 for i in range(1, ell + 1))
 
 
 def _exps(alphabet, **counts):
@@ -75,14 +110,48 @@ def test_k_nonnegative_and_alphabet_independent():
             assert peeled == table
 
 
-def test_k_membership_matches_inverse_oracle(rng):
+MEMBERSHIP_PLANS = [((1,), 2), ((2,), 3), ((), 2), ((2, 1), 3)]
+
+
+def test_recording_by_content_matches_shape_oracle():
+    for ell in range(1, 5):
+        for total in range(9):
+            seen = []
+            for content in contents_up_to(total, ell):
+                tabs = enumerate_recording(content)
+                assert all(content_of(q, ell) == content for q in tabs)
+                seen.extend(tabs)
+            assert len(seen) == len(set(seen))
+            oracle = [q for mu in partitions_up_to(total, ell)
+                      for q in shape_recording(conjugate(mu), ell)]
+            assert len(oracle) == len(set(oracle))
+            assert set(seen) == set(oracle)
+    assert len(seen) == 4191  # ell = 4, at most 8 boxes
+
+
+def test_k_membership_matches_inverse_oracle():
     oracle = make_alphabet("classical", 9, 0)
-    for lam, ell in [((1,), 2), ((2,), 3), ((), 2), ((2, 1), 3)]:
+    visited = []
+    for lam, ell in MEMBERSHIP_PLANS:
         plan = shape_plan(lam, ell)
-        for mu in partitions_up_to(5, ell):
-            for q_cols in enumerate_recording(conjugate(mu), ell):
-                assert in_k_set(plan, q_cols) == \
-                    k_set_via_inverse(plan, q_cols, oracle)
+        domain = all_recording(5, ell)
+        for q_cols in domain:
+            assert in_k_set(plan, q_cols) == \
+                k_set_via_inverse(plan, q_cols, oracle)
+        visited.append(len(domain))
+    assert visited == [34, 140, 34, 140]
+
+
+def test_content_filter_only_prunes():
+    plans = [(shape_plan(lam, ell), 5) for lam, ell in MEMBERSHIP_PLANS]
+    plans.append((shape_plan((2, 2), 4), 8))
+    pruned = []
+    for plan, total in plans:
+        cut = [q_cols for q_cols in all_recording(total, plan.ell)
+               if not content_admits(plan, content_of(q_cols, plan.ell))]
+        assert not any(in_k_set(plan, q_cols) for q_cols in cut)
+        pruned.append(len(cut))
+    assert pruned == [26, 131, 28, 128, 4054]
 
 
 def test_middle_column_parity_is_needed():
@@ -147,17 +216,18 @@ def test_charpoly_json_stable(sup22):
 def test_k_q_conditions_individually():
     from ospd.character import QContext, Q_CONDITIONS
     plan = shape_plan((1, 1), 2)
-    good = 0
-    for mu in partitions_up_to(4, 2):
-        for q_cols in enumerate_recording(conjugate(mu), 2):
-            ctx = QContext(plan, q_cols)
-            values = []
-            for cond in Q_CONDITIONS:
-                try:
-                    values.append(bool(cond(ctx)))
-                except RejectError:
-                    values.append(False)
-                    break
-            if all(values):
-                good += 1
+    good = visited = 0
+    for q_cols in all_recording(4, 2):
+        visited += 1
+        ctx = QContext(plan, q_cols)
+        values = []
+        for cond in Q_CONDITIONS:
+            try:
+                values.append(bool(cond(ctx)))
+            except RejectError:
+                values.append(False)
+                break
+        if all(values):
+            good += 1
+    assert visited == 22
     assert good == sum(k_coefficients(plan, 4).values())

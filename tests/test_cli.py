@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,29 @@ def test_kcoef_alphabet_independent():
         assert code == 0
         out[m] = text
     assert out["8"] == out["9"]
+
+
+# SHA-256 of four kcoef streams, taken from the shape-first computation of
+# the K-set that tested every recording tableau of each shape, so that a
+# change to how the K-set is built cannot alter a table silently.
+KCOEF_STREAMS = [
+    ("--family classical -m 8 -n 0 --lambda 2 --ell 2 --max-boxes 8",
+     "f4ce9a3df9ae77a9cd33a9ebfa9b3fb2d8b3f45904ba3c9dade331ad19b7438a"),
+    ("--family classical -m 4 -n 0 --lambda 2,2 --ell 4",
+     "5e0fbadd7e0dd7f5d39f7a2f98007804ed8db68d341e92bb401b6786e953d072"),
+    ("--family super -m 2 -n 2 --lambda 1,1 --ell 2 --max-boxes 8",
+     "4acb021dcdc09203144f63ecce720f83e17552944d973ae95b55ff84b02c449d"),
+    ("--family classical -m 5 -n 0 --lambda 2,1 --ell 3",
+     "66f30939169b20c10fc7c4d7511e9d57bec9d7a609fdcfbabbe82cbab6cd4068"),
+]
+
+
+@pytest.mark.parametrize("args,digest", KCOEF_STREAMS,
+                         ids=["D8-2", "D4-22", "super22-11", "D5-21"])
+def test_kcoef_stream_is_pinned(args, digest):
+    code, out, _ = run_cli("kcoef", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_dims():

@@ -271,3 +271,38 @@ def test_tuple_json_roundtrip(sup22):
     for t in enumerate_tableaux(plan, sup22, 5):
         blob = json.dumps(tuple_to_json(t), sort_keys=True)
         assert tuple_from_json(sup22, json.loads(blob)) == t
+
+
+def _drop(obj, key):
+    del obj[key]
+
+
+JSON_EDITS = {
+    "a-string": (lambda b: b["parts"][0].update(a="2"), "'a' must be"),
+    "a-bool": (lambda b: b["parts"][0].update(a=True), "'a' must be"),
+    "a-missing": (lambda b: _drop(b["parts"][0], "a"), "lacks 'a'"),
+    "kind-missing": (lambda b: _drop(b["parts"][0], "kind"), "lacks 'kind'"),
+    "col-missing": (lambda b: _drop(b["parts"][1], "col"), "lacks 'col'"),
+    "ell-string": (lambda b: b["plan"].update(ell="3"), "'ell' must be"),
+    "ell-bool": (lambda b: b["plan"].update(ell=True), "'ell' must be"),
+    "ell-missing": (lambda b: _drop(b["plan"], "ell"), "lacks 'ell'"),
+    "lambda-string": (lambda b: b["plan"].update({"lambda": ["2", 1]}),
+                      "'lambda' must be"),
+    "lambda-bool": (lambda b: b["plan"].update({"lambda": [2, True]}),
+                    "'lambda' must be"),
+    "lambda-missing": (lambda b: _drop(b["plan"], "lambda"),
+                       "lacks 'lambda'"),
+    "lambda-not-list": (lambda b: b["plan"].update({"lambda": "21"}),
+                        "'lambda' must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_EDITS))
+def test_json_reader_rejects_a_bad_field(cl40, case):
+    plan = shape_plan((2, 1), 3, cl40)
+    blob = tuple_to_json(highest_weight_tuple(plan, cl40, "classical"))
+    assert tuple_from_json(cl40, blob).plan == plan
+    edit, reason = JSON_EDITS[case]
+    edit(blob)
+    with pytest.raises(RejectError, match=reason):
+        tuple_from_json(cl40, blob)
