@@ -147,22 +147,19 @@ class QContext:
     Columns are numbered so the spin slot (present when r = 1) is column 1
     and the pair T_j occupies columns (r + 2j - 1, r + 2j); the color inside
     the pair T_{q+k} is then c_k = r + 2q + 2k - 1 and the boundary color
-    between the pair block and the middle block is r + 2q.  Given
-    ``content`` (the number of entries equal to 1..ell) and no columns, it
-    serves the clauses that read only the content.
+    between the pair block and the middle block is r + 2q.
     """
 
-    def __init__(self, plan, q_cols, content=None):
+    def __init__(self, plan, q_cols):
         self.plan = plan
         self.q = q_cols
-        if content is None:
-            content = [0] * plan.ell
-            for col in q_cols:
-                for e in col:
-                    if not 1 <= e <= plan.ell:
-                        raise RejectError("entry %r outside 1..ell" % (e,))
-                    content[e - 1] += 1
-        self.m = [0, *content]  # m[i] = |column i|, 1-based
+        counts = [0] * (plan.ell + 1)
+        for col in q_cols:
+            for e in col:
+                if not 1 <= e <= plan.ell:
+                    raise RejectError("entry %r outside 1..ell" % (e,))
+                counts[e] += 1
+        self.m = counts  # m[i] = |column i|, 1-based
         self.s = plan.r
         self.r0 = 1 if plan.sign == "-" else 0
         self.rk = {}
@@ -352,8 +349,10 @@ def in_k_set(plan, q_cols):
 
 
 def content_admits(plan, content):
-    """Do (Q1), (Q2), (Q7) and (Q8), which read only the content of Q, hold?"""
-    ctx = QContext(plan, (), content)
+    """Do (Q1), (Q2), (Q7) and (Q8), which read only the content of Q, hold?
+    They are evaluated on the one-row tableau of that content."""
+    row = tuple((i,) for i, c in enumerate(content, 1) for _ in range(c))
+    ctx = QContext(plan, row)
     return q1(ctx) and q2(ctx) and q7(ctx) and q8(ctx)
 
 
@@ -391,20 +390,6 @@ def _add_strip(cols, letter, count):
     return extend(0, count, [])
 
 
-def partitions_up_to(total, max_part):
-    """All partitions with |mu| <= total and mu_1 <= max_part."""
-    out = [()]
-
-    def extend(prefix, remaining, cap):
-        for part in range(min(cap, remaining), 0, -1):
-            cur = prefix + (part,)
-            out.append(cur)
-            extend(cur, remaining - part, part)
-
-    extend((), total, max_part)
-    return out
-
-
 def k_coefficients(plan, max_size):
     """The branching multiplicities K_mu for |mu| <= max_size: the recording
     tableaux of each content that passes the content clauses, counted by
@@ -417,8 +402,7 @@ def k_coefficients(plan, max_size):
             if in_k_set(plan, q_cols):
                 mu = tuple(len(c) for c in q_cols)
                 counts[mu] = counts.get(mu, 0) + 1
-    return {mu: counts[mu] for mu in partitions_up_to(max_size, plan.ell)
-            if mu in counts}
+    return counts
 
 
 def k_set_via_inverse(plan, q_cols, alphabet):

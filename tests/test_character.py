@@ -1,36 +1,14 @@
-import itertools
-
 import pytest
 
 from ospd import make_alphabet, shape_plan, verify_pieri, weyl_dim_D
 from ospd.character import (content_admits, contents_up_to,
                             enumerate_recording, in_k_set, k_coefficients,
-                            k_from_character, k_set_via_inverse,
-                            partitions_up_to, s_character,
+                            k_from_character, k_set_via_inverse, s_character,
                             schur_expansion_matches, super_schur)
 from ospd.osptab import RejectError, enumerate_tableaux
 from ospd.tableau import conjugate
 
-
-def shape_recording(mu_conj, ell):
-    """Oracle for the library's content-first generator: all SSYT with
-    entries in 1..ell of shape mu_conj, column-major, built shape first,
-    column by column over strictly increasing columns."""
-    heights = conjugate(mu_conj)
-    results = []
-
-    def extend(j, cols):
-        if j == len(heights):
-            results.append(tuple(cols))
-            return
-        for col in itertools.combinations(range(1, ell + 1), heights[j]):
-            if not cols or all(cols[-1][i] <= col[i] for i in range(len(col))):
-                cols.append(col)
-                extend(j + 1, cols)
-                cols.pop()
-
-    extend(0, [])
-    return results
+from recording_oracle import partitions_up_to, shape_recording
 
 
 def all_recording(total, ell):

@@ -3,9 +3,10 @@ and the full graph gauntlet on plans with mixed component blocks."""
 
 from ospd import (check_axioms, enumerate_tableaux, explore, make_alphabet,
                   shape_plan, weyl_dim_D)
-from ospd.character import partitions_up_to
 from ospd.crystal import is_genuine_highest, plan_weight
 from ospd.osptab import highest_weight_tuple
+
+from recording_oracle import partitions_up_to
 
 EXOTIC = (((3,), 3), ((3,), 4), ((2, 2), 4), ((3, 1), 4), ((1,), 3),
           ((2, 1), 3), ((1, 1), 4), ((2,), 4), ((), 3), ((), 4))
