@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from math import comb
 
 from . import character, crystal, osptab
 from .alphabet import make_alphabet
@@ -20,6 +21,10 @@ USAGE_ERROR = 2
 
 # box bound of the battery's super closure check
 SUPER_CLOSURE_BOUND = 8
+
+# most contents kcoef may walk: C(bound + ell, ell) contents have at most
+# bound boxes; the pinned kcoef streams need 4,845
+KCOEF_MAX_CONTENTS = 10 ** 6
 
 # fault injection for ``verify --mutate``: name -> (module, attribute,
 # replacement), patched in for the battery only
@@ -116,6 +121,11 @@ def cmd_kcoef(args):
     bound = args.max_boxes
     if bound is None:
         bound = plan.ell * alphabet.size
+    contents = comb(bound + plan.ell, plan.ell)
+    if contents > KCOEF_MAX_CONTENTS:
+        raise RejectError("kcoef up to %d boxes would walk %d contents, more "
+                          "than %d; lower --max-boxes"
+                          % (bound, contents, KCOEF_MAX_CONTENTS))
     table = character.k_coefficients(plan, bound)
     out = [{"mu": list(mu), "K": k} for mu, k in sorted(table.items())]
     _write(args, json.dumps(out) + "\n")

@@ -291,12 +291,23 @@ def star_split_sliding(pair):
 # admissibility
 
 def _adm_profile(s):
-    """(a', r, S^L, LS, S^Lstar, is_spin_minus) of the right-hand member."""
+    """(a', r, S^L, LS, S^Lstar, is_spin_minus) of the right-hand member; a
+    barred pair is read as the spin column of its left column."""
+    if isinstance(s, BarPair):
+        s = SpinColumn(s.left)
     if isinstance(s, SpinColumn):
         return (s.residue, s.residue, s.col, s.col, s.col, s.sign == "-")
     ls, _ = lr_split(s)
     lstar = star_split(s)[0] if s.residue == 1 else None
     return (s.a, s.residue, s.left, ls, lstar, False)
+
+
+def _right_star(t):
+    return star_split(t)[1]
+
+
+def _right_lr(t):
+    return lr_split(t)[1]
 
 
 def _entries_leq(x_col, y_col, shift=0):
@@ -315,9 +326,12 @@ def _height_ok(height, bound):
     return height <= bound
 
 
-def _admissible_nonbar(t, s):
-    """T < S for T an a-pair and S an a'-pair or a spin column."""
-    a_p, r_s, s_l, ls, s_lstar, spin_minus = _adm_profile(s)
+def _admissible_nonbar(t, profile, right_star, right_lr):
+    """T < S for T an a-pair and S an a'-pair, a barred pair or a spin
+    column, given S's :func:`_adm_profile`.  T's R*T and RT are read through
+    the lookups ``right_star`` and ``right_lr``, and only once clause (i)
+    has passed."""
+    a_p, r_s, s_l, ls, s_lstar, spin_minus = profile
     if t.a < a_p:
         raise RejectError("left member must have a >= a'")
     r_t = t.residue
@@ -326,11 +340,11 @@ def _admissible_nonbar(t, s):
     if not _height_ok(len(t.right), len(s_l) - a_p + 2 * r_s * r_t):
         return False
     # (ii)
-    x_col = star_split(t)[1] if r_s == r_t == 1 else t.right
+    x_col = right_star(t) if r_s == r_t == 1 else t.right
     if not _entries_leq(x_col, ls):
         return False
     # (iii)
-    rt = lr_split(t)[1]
+    rt = right_lr(t)
     if r_s == r_t == 1:
         return _entries_leq(rt, s_lstar, shift=t.a - a_p + eps)
     return _entries_leq(rt, s_l, shift=t.a - a_p)
@@ -339,10 +353,9 @@ def _admissible_nonbar(t, s):
 def is_admissible(t, s):
     """The admissibility relation T < S between adjacent components."""
     if isinstance(t, OspPair):
-        if isinstance(s, (OspPair, SpinColumn)):
-            return _admissible_nonbar(t, s)
-        if isinstance(s, BarPair):
-            return _admissible_nonbar(t, SpinColumn(s.left))
+        if isinstance(s, (OspPair, SpinColumn, BarPair)):
+            return _admissible_nonbar(t, _adm_profile(s), _right_star,
+                                      _right_lr)
     elif isinstance(t, BarPair):
         # (T^R, S^L) is a member of the barred class
         if isinstance(s, BarPair):
@@ -562,6 +575,19 @@ def _part_sort_key(part):
             isinstance(part, BarPair))
 
 
+class _Table(dict):
+    """The values of ``fn``, each computed on its first lookup; made by
+    :func:`enumerate_tableaux` for the length of one call."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def enumerate_tableaux(plan, alphabet, max_boxes=None):
     """Every tableau of the plan with at most max_boxes boxes, exactly once,
     in a deterministic order.
@@ -578,6 +604,9 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
     if floor > max_boxes:
         return []
 
+    # every candidate's sort key (box count first), profile and splits are
+    # computed once per call and then looked up
+    key = {}
     candidates = []
     for kind, param in kinds:
         budget = max_boxes - (floor - _slot_floor(kind, param))
@@ -587,28 +616,43 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
             cands = osp_pairs(alphabet, 0, budget, bar=True)
         else:
             cands = spin_columns(alphabet, param, budget)
-        candidates.append(sorted(cands, key=_part_sort_key))
+        key.update((part, _part_sort_key(part)) for part in cands)
+        candidates.append(sorted(cands, key=key.__getitem__))
+    profile = _Table(_adm_profile)
+    right_star = _Table(_right_star).__getitem__
+    right_lr = _Table(_right_lr).__getitem__
 
     results = []
 
     def extend(idx, chosen, used):
         # build right to left: idx counts from the last slot backwards
         if idx < 0:
-            results.append(OspTableauD(tuple(reversed(chosen)), plan))
+            parts = tuple(reversed(chosen))
+            results.append(((used, tuple(key[p] for p in parts)), parts))
             return
+        if chosen:
+            right = chosen[-1]
+            right_profile = profile[right]
         for part in candidates[idx]:
-            if used + part.boxes() > max_boxes:
-                continue
-            if chosen and not is_admissible(part, chosen[-1]):
-                continue
+            size = used + key[part][0]
+            if size > max_boxes:
+                break
+            if chosen:
+                if isinstance(part, OspPair):
+                    ok = _admissible_nonbar(part, right_profile, right_star,
+                                            right_lr)
+                else:
+                    ok = is_admissible(part, right)
+                if not ok:
+                    continue
             chosen.append(part)
-            extend(idx - 1, chosen, used + part.boxes())
+            extend(idx - 1, chosen, size)
             chosen.pop()
 
     extend(len(kinds) - 1, [], 0)
-    results.sort(key=lambda t: (t.boxes(),
-                                tuple(_part_sort_key(p) for p in t.parts)))
-    return results
+    del extend  # the recursive closure is a cycle that would keep the tables
+    results.sort(key=lambda result: result[0])
+    return [OspTableauD(parts, plan) for _, parts in results]
 
 
 def _slot_floor(kind, param):
@@ -716,17 +760,35 @@ def _integer(value, key):
     return value
 
 
+def _list(obj, key):
+    value = _field(obj, key)
+    if not isinstance(value, list):
+        raise RejectError("%r must be a list, not %r" % (key, value))
+    return value
+
+
+def _letters(alphabet, obj, key):
+    names = _list(obj, key)
+    if not all(isinstance(name, str) for name in names):
+        raise RejectError("%r must list letter names, not %r" % (key, names))
+    try:
+        return letters_from_json(alphabet, names)
+    except ValueError as exc:
+        raise RejectError("%r: %s" % (key, exc)) from None
+
+
 def part_from_json(alphabet, obj):
     kind = _field(obj, "kind")
     if kind not in ("pair", "bar", "spin"):
         raise RejectError("unknown component kind %r" % (kind,))
     if kind == "spin":
-        slot, names = (kind, _field(obj, "sign")), (_field(obj, "col"),)
+        slot = (kind, _field(obj, "sign"))
+        cols = (_letters(alphabet, obj, "col"),)
     else:
         a = _integer(_field(obj, "a"), "a") if kind == "pair" else None
-        slot, names = (kind, a), (_field(obj, "R"), _field(obj, "L"))
-    return part_from_cols(slot, tuple(letters_from_json(alphabet, n)
-                                      for n in names))
+        slot = (kind, a)
+        cols = (_letters(alphabet, obj, "R"), _letters(alphabet, obj, "L"))
+    return part_from_cols(slot, cols)
 
 
 def plan_to_json(plan):
@@ -736,9 +798,7 @@ def plan_to_json(plan):
 
 
 def plan_from_json(obj):
-    lam = _field(obj, "lambda")
-    if not isinstance(lam, list):
-        raise RejectError("'lambda' must be a list, not %r" % (lam,))
+    lam = _list(obj, "lambda")
     return shape_plan(tuple(_integer(x, "lambda") for x in lam),
                       _integer(_field(obj, "ell"), "ell"))
 
@@ -750,5 +810,5 @@ def tuple_to_json(t):
 
 def tuple_from_json(alphabet, obj):
     plan = plan_from_json(_field(obj, "plan"))
-    parts = tuple(part_from_json(alphabet, p) for p in _field(obj, "parts"))
+    parts = tuple(part_from_json(alphabet, p) for p in _list(obj, "parts"))
     return validate(parts, plan, alphabet)

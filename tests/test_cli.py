@@ -108,6 +108,33 @@ KCOEF_STREAMS = [
 ]
 
 
+# SHA-256 and line count of five enumerate streams, taken before the
+# enumeration looked splits up in per-call tables; together they cover the
+# pair-pair, pair-bar and pair-spin relations.
+ENUMERATE_STREAMS = [
+    ("--family classical -m 5 -n 0 --lambda 2,2 --ell 4",
+     "24a730cd46ac7ecc79937a280d79817d8c0cbe7790004203bea508d62d92ff71", 4125),
+    ("--family classical -m 4 -n 0 --lambda 3 --ell 4",
+     "77466207c22309438b1d7832a3295a0bed03dd74f6a06f135b906341b0365c23", 672),
+    ("--family classical -m 5 -n 0 --lambda 2 --ell 3",
+     "2a7f0958d5d292f7f3e4df796beeddecefa32f7e57a4ae42b0a9325b59512b41", 1440),
+    ("--family super -m 2 -n 2 --lambda 3 --ell 4 --max-boxes 7",
+     "9599c946c0ced7a0d244e1da0c5874e11a4c0c42f050ecbf8f060f95bcae61f4", 428),
+    ("--family super -m 2 -n 1 --lambda 1,1 --ell 3 --max-boxes 7",
+     "449dbeea1fe396e8c40f523272b73dbacac4b2cedb2c3887644d49b3d4137801", 48),
+]
+
+
+@pytest.mark.parametrize("args,digest,lines", ENUMERATE_STREAMS,
+                         ids=["D5-22-4", "D4-3-4", "D5-2-3", "super22-3-4",
+                              "super21-11-3"])
+def test_enumerate_stream_is_pinned(args, digest, lines):
+    code, out, _ = run_cli("enumerate", *args.split())
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args,digest", KCOEF_STREAMS,
                          ids=["D8-2", "D4-22", "super22-11", "D5-21"])
 def test_kcoef_stream_is_pinned(args, digest):
@@ -132,6 +159,8 @@ MISSING = "<missing directory>"  # replaced by one under tmp_path
     (("graph", *PLAN, "--max-boxes", "-1"), "non-negative"),
     (("char", *PLAN, "--max-boxes", "-1"), "non-negative"),
     (("kcoef", *PLAN, "--max-boxes", "-3"), "non-negative"),
+    (("kcoef", "--family", "classical", "-m", "8", "-n", "0", "--lambda", "0",
+      "--ell", "8"), "lower --max-boxes"),
     (("dims", "--family", "super", "-m", "2", "-n", "2", "--lambda", "1",
       "--ell", "1"), "Weyl dimension"),
     (("dims", "--family", "classical", "-m", "4", "--max-boxes", "3"),

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from ospd import (classify_pair, enumerate_tableaux, is_admissible, lr_split,
-                  make_alphabet, shape_plan, star_split, validate,
-                  weyl_dim_D)
+from ospd import (classify_pair, cli, enumerate_tableaux, is_admissible,
+                  lr_split, make_alphabet, osptab, shape_plan, star_split,
+                  validate, weyl_dim_D)
 from ospd.osptab import (OspPair, OspTableauD, RejectError, SpinColumn,
                          all_columns, highest_weight_tuple,
                          is_admissible_sigma, lr_split_sliding, osp_pairs,
@@ -261,6 +261,46 @@ def test_enumerate_matches_weyl_dimension():
             assert count == weyl_dim_D(ell, lam, m + n)
 
 
+# the plans of the pinned enumerate streams in test_cli.py, then two whose
+# left member is a barred pair: (3,), 3 is bar-spin and (4,), 4 is bar-bar
+ENUMERATED_PLANS = [
+    ("classical", 5, 0, (2, 2), 4, None),
+    ("classical", 4, 0, (3,), 4, None),
+    ("classical", 5, 0, (2,), 3, None),
+    ("super", 2, 2, (3,), 4, 7),
+    ("super", 2, 1, (1, 1), 3, 7),
+    ("classical", 4, 0, (3,), 3, None),
+    ("classical", 3, 0, (4,), 4, None),
+]
+
+
+@pytest.mark.parametrize("kind,m,n,lam,ell,bound", ENUMERATED_PLANS)
+def test_enumeration_agrees_with_the_public_relation(kind, m, n, lam, ell,
+                                                     bound):
+    # enumerate_tableaux reads splits from per-call tables; validate tests
+    # every adjacent pair again through is_admissible, which has none
+    A = make_alphabet(kind, m, n)
+    plan = shape_plan(lam, ell, A)
+    out = enumerate_tableaux(plan, A, bound)
+    assert len(set(out)) == len(out)
+    for t in out:
+        assert validate(t.parts, plan, A) == t
+    if kind == "classical":
+        assert len(out) == weyl_dim_D(ell, lam, m + n)
+
+
+@pytest.mark.parametrize("lam,ell", [((2, 2), 4), ((2,), 3)],
+                         ids=["D4-22-4", "D4-2-3"])
+def test_enumeration_reaches_the_height_clause(cl40, monkeypatch, lam, ell):
+    # ``verify --mutate flip-adm-i`` replaces osptab._height_ok; the
+    # enumeration must see the replacement
+    plan = shape_plan(lam, ell, cl40)
+    dim = weyl_dim_D(ell, lam, cl40.size)
+    assert len(enumerate_tableaux(plan, cl40)) == dim
+    monkeypatch.setattr(osptab, "_height_ok", cli.FAULTS["flip-adm-i"][2])
+    assert len(enumerate_tableaux(plan, cl40)) != dim
+
+
 def test_enumerate_super_requires_bound(sup22):
     with pytest.raises(RejectError):
         enumerate_tableaux(shape_plan((1,), 1, sup22), sup22)
@@ -294,6 +334,9 @@ JSON_EDITS = {
                        "lacks 'lambda'"),
     "lambda-not-list": (lambda b: b["plan"].update({"lambda": "21"}),
                         "'lambda' must be a list"),
+    "R-int": (lambda b: b["parts"][0].update(R=5), "'R' must be a list"),
+    "R-string": (lambda b: b["parts"][0].update(R="b1"), "'R' must be a list"),
+    "parts-int": (lambda b: b.update(parts=5), "'parts' must be a list"),
 }
 
 
