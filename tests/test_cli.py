@@ -159,8 +159,6 @@ MISSING = "<missing directory>"  # replaced by one under tmp_path
     (("graph", *PLAN, "--max-boxes", "-1"), "non-negative"),
     (("char", *PLAN, "--max-boxes", "-1"), "non-negative"),
     (("kcoef", *PLAN, "--max-boxes", "-3"), "non-negative"),
-    (("kcoef", "--family", "classical", "-m", "8", "-n", "0", "--lambda", "0",
-      "--ell", "8"), "lower --max-boxes"),
     (("dims", "--family", "super", "-m", "2", "-n", "2", "--lambda", "1",
       "--ell", "1"), "Weyl dimension"),
     (("dims", "--family", "classical", "-m", "4", "--max-boxes", "3"),
@@ -170,6 +168,8 @@ MISSING = "<missing directory>"  # replaced by one under tmp_path
     (("verify", "--family", "super"), "unrecognized arguments"),
     (("dims", "--family", "classical", "-m", "4", "--lambda", "0", "--ell",
       "1", "-o", MISSING + "/x"), "cannot write"),
+    (("kcoef", "--family", "classical", "-m", "8", "-n", "0", "--lambda", "0",
+      "--ell", "8"), "lower --max-boxes"),
 ])
 def test_usage_errors_exit_2(args, message, tmp_path):
     missing = str(tmp_path / "missing")
