@@ -26,6 +26,10 @@ SUPER_CLOSURE_BOUND = 8
 # bound boxes; the pinned kcoef streams need 4,845
 KCOEF_MAX_CONTENTS = 10 ** 6
 
+# most tableaux a classical enumerate, graph or char may build without
+# --max-boxes; the largest in the tests and benchmark is D5 (2,2) ell=4, 4,125
+CLASSICAL_MAX_TABLEAUX = 10 ** 5
+
 # fault injection for ``verify --mutate``: name -> (module, attribute,
 # replacement), patched in for the battery only
 FAULTS = {
@@ -67,13 +71,23 @@ def _add_plan(p, bounded=True):
 def _config(args):
     alphabet = make_alphabet(args.family, args.m, args.n)
     plan = osptab.shape_plan(_parse_partition(args.lam), args.ell, alphabet)
+    if args.family == "super" and args.max_boxes is None:
+        raise RejectError("super alphabets require --max-boxes")
     return alphabet, plan
 
 
-def _bounded_config(args):
+def _stream_config(args):
+    """The plan of enumerate, graph and char, refused when their result would
+    be unbounded or empty."""
     alphabet, plan = _config(args)
-    if args.family == "super" and args.max_boxes is None:
-        raise RejectError("super alphabets require --max-boxes")
+    if args.max_boxes is None:
+        dim = character.weyl_dim_D(plan.ell, plan.lam, alphabet.size)
+        if dim > CLASSICAL_MAX_TABLEAUX:
+            raise RejectError("the module has %d tableaux, more than %d; give "
+                              "--max-boxes" % (dim, CLASSICAL_MAX_TABLEAUX))
+    elif args.max_boxes < plan.boxes_lower_bound():
+        raise RejectError("the plan needs at least %d boxes; raise --max-boxes"
+                          % plan.boxes_lower_bound())
     return alphabet, plan
 
 
@@ -90,16 +104,15 @@ def _write(args, text):
 
 
 def cmd_enumerate(args):
-    alphabet, plan = _bounded_config(args)
-    lines = []
-    for t in osptab.enumerate_tableaux(plan, alphabet, args.max_boxes):
-        lines.append(json.dumps(osptab.tuple_to_json(t), sort_keys=True))
-    _write(args, "".join(line + "\n" for line in lines))
+    alphabet, plan = _stream_config(args)
+    rows = osptab.enumerate_tableaux(plan, alphabet, args.max_boxes)
+    _write(args, "".join(json.dumps(osptab.tuple_to_json(t), sort_keys=True)
+                         + "\n" for t in rows))
     return 0
 
 
 def cmd_graph(args):
-    alphabet, plan = _bounded_config(args)
+    alphabet, plan = _stream_config(args)
     graph = crystal.explore(plan, alphabet, args.family, args.max_boxes)
     if args.format == "dot":
         _write(args, crystal.graph_to_dot(graph))
@@ -110,14 +123,14 @@ def cmd_graph(args):
 
 
 def cmd_char(args):
-    alphabet, plan = _bounded_config(args)
+    alphabet, plan = _stream_config(args)
     poly = character.s_character(plan, alphabet, args.max_boxes)
     _write(args, json.dumps(poly.to_json(alphabet)) + "\n")
     return 0
 
 
 def cmd_kcoef(args):
-    alphabet, plan = _bounded_config(args)
+    alphabet, plan = _config(args)
     bound = args.max_boxes
     if bound is None:
         bound = plan.ell * alphabet.size
@@ -211,7 +224,7 @@ def _check_lemma_suites(seed):
     ok = True
     for kind in ("classical", "super"):
         alphabet = make_alphabet(kind, 4, 2)
-        rep = run_split_lemma_suite(alphabet, per_clause=100, seed=seed)
+        rep = run_split_lemma_suite(alphabet)
         rep2 = run_admissibility_suite(alphabet, per_case=100, seed=seed + 1)
         ok &= rep["ok"] and rep["complete"] and rep2["ok"] and rep2["complete"]
         detail[kind] = {"split": sum(rep["counts"].values()),
@@ -222,11 +235,14 @@ def _check_lemma_suites(seed):
 def _verify_checks(seed):
     rng = random.Random(seed)
     checks = [("worked-examples", _check_worked_examples)]
-    for lam, ell in [((), 1), ((1,), 1), ((1, 1), 2), ((2,), 2)]:
-        checks.append(("classical-crystal-D3-%s-%d" % (lam, ell),
-                       lambda lam=lam, ell=ell: _check_classical_crystal(3, 0, lam, ell)))
-        checks.append(("classical-crystal-D4-%s-%d" % (lam, ell),
-                       lambda lam=lam, ell=ell: _check_classical_crystal(4, 0, lam, ell)))
+    # the last two plans, pair-spin+ and pair-spin-, have two slots, so
+    # enumerating them tests admissibility
+    for m, lam, ell in [(3, (), 1), (4, (), 1), (3, (1,), 1), (4, (1,), 1),
+                        (3, (1, 1), 2), (4, (1, 1), 2), (3, (2,), 2),
+                        (4, (2,), 2), (3, (1,), 3), (3, (2,), 3)]:
+        checks.append(("classical-crystal-D%d-%s-%d" % (m, lam, ell),
+                       lambda m=m, lam=lam, ell=ell:
+                       _check_classical_crystal(m, 0, lam, ell)))
     checks.append(("super-closure-2|2-(1,1)-2",
                    lambda: _check_super_closure(2, 2, (1, 1), 2)))
     for kind, m, n, lam, ell, bound in [

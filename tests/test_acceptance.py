@@ -181,7 +181,7 @@ def test_criterion_6_split_lemma_suites():
     details = []
     for kind in ("classical", "super"):
         alphabet = make_alphabet(kind, 4, 2)
-        rep = run_split_lemma_suite(alphabet, per_clause=2000, seed=101)
+        rep = run_split_lemma_suite(alphabet)
         assert rep["complete"], rep["counts"]
         assert rep["ok"], rep["failures"][:1]
         rep2 = run_admissibility_suite(alphabet, per_case=2000, seed=102)

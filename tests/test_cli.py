@@ -170,6 +170,13 @@ MISSING = "<missing directory>"  # replaced by one under tmp_path
       "1", "-o", MISSING + "/x"), "cannot write"),
     (("kcoef", "--family", "classical", "-m", "8", "-n", "0", "--lambda", "0",
       "--ell", "8"), "lower --max-boxes"),
+    (("enumerate", "-m", "8", "--lambda", "0", "--ell", "8"),
+     "give --max-boxes"),
+    (("graph", "-m", "8", "--lambda", "0", "--ell", "8"), "give --max-boxes"),
+    (("char", "-m", "8", "--lambda", "0", "--ell", "8"), "give --max-boxes"),
+    (("enumerate", *PLAN, "--max-boxes", "1"), "needs at least 2 boxes"),
+    (("graph", *PLAN, "--max-boxes", "1"), "needs at least 2 boxes"),
+    (("char", *PLAN, "--max-boxes", "1"), "needs at least 2 boxes"),
 ])
 def test_usage_errors_exit_2(args, message, tmp_path):
     missing = str(tmp_path / "missing")
@@ -186,6 +193,13 @@ def test_verify_default_battery_and_seed_reproducibility(tmp_path):
     assert report["ok"] and report["seed"] == 7
     code2, out2, _ = run_cli("verify", "--seed", "7")
     assert out2 == out1
+    # the split clauses are swept, so their counts do not depend on the seed
+    code3, out3, _ = run_cli("verify", "--seed", "8")
+    for out in (out1, out3):
+        lemma = [c for c in json.loads(out)["checks"]
+                 if c["name"] == "split-lemma-suites"][0]["detail"]
+        assert (lemma["classical"]["split"], lemma["super"]["split"]) == \
+            (2396, 6800)
 
 
 @pytest.mark.slow
@@ -194,7 +208,9 @@ def test_verify_mutation_fails_with_named_check():
     assert code == 1
     report = json.loads(out)
     failing = [c["name"] for c in report["checks"] if not c["ok"]]
-    assert failing
+    # the pair-spin plans test admissibility inside an enumeration
+    assert {"classical-crystal-D3-(1,)-3",
+            "classical-crystal-D3-(2,)-3"} <= set(failing)
 
 
 @pytest.mark.slow

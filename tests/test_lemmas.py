@@ -1,7 +1,10 @@
-"""Smoke-scale runs of the randomized split/admissibility suites; the
-acceptance module runs them at full instance counts."""
+"""The split-lemma sweep with its pinned counts, and a smoke-scale run of
+the randomized admissibility suite; the acceptance module runs that suite
+at full instance counts."""
 
-from ospd import make_alphabet
+import pytest
+
+from ospd import lemmas, make_alphabet
 from ospd.lemmas import (check_lemma_clauses, run_admissibility_suite,
                          run_split_lemma_suite)
 from ospd.crystal import e_pair_bar
@@ -11,12 +14,43 @@ from ospd.osptab import classify_pair
 from conftest import letters
 
 
-def test_split_suite_small_counts():
-    for kind in ("classical", "super"):
-        A = make_alphabet(kind, 4, 2)
-        report = run_split_lemma_suite(A, per_clause=100, seed=11)
-        assert report["complete"], report["counts"]
-        assert report["ok"], report["failures"][:1]
+# members swept and instances per clause; each count is at least the number
+# of distinct instances that drawing 2,000 times per clause from the same
+# pool reached
+SWEEP_COUNTS = {
+    "classical": (1888, {
+        "L1": 201, "L2": 201, "L3": 73, "L4": 73, "L5": 98, "L6": 98,
+        "L7": 98, "L8": 98, "L9": 98, "L10": 98,
+        "R1": 233, "R2": 233, "R3": 67, "R4": 67, "R5": 110, "R6": 110,
+        "R7": 110, "R8": 110, "R9": 110, "R10": 110}),
+    "super": (10288, {
+        "L1": 633, "L2": 633, "L3": 204, "L4": 204, "L5": 208, "L6": 208,
+        "L7": 208, "L8": 208, "L9": 208, "L10": 208,
+        "R1": 1065, "R2": 1065, "R3": 436, "R4": 436, "R5": 146, "R6": 146,
+        "R7": 146, "R8": 146, "R9": 146, "R10": 146}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_COUNTS))
+def test_split_suite_sweeps_every_member(kind):
+    members, counts = SWEEP_COUNTS[kind]
+    report = run_split_lemma_suite(make_alphabet(kind, 4, 2))
+    assert report["ok"], report["failures"][:1]
+    assert report["complete"] and report["attempts"] == members
+    assert report["counts"] == counts
+
+
+@pytest.mark.parametrize("split, broken", [
+    ("lr_split", {"L1", "L2", "L6", "L7", "L8", "R1", "R2", "R6", "R7",
+                  "R8"}),
+    ("star_split", {"L3", "L4", "L9", "L10", "R3", "R4", "R9", "R10"}),
+])
+def test_split_suite_fails_on_a_swapped_split(monkeypatch, split, broken):
+    original = getattr(lemmas, split)
+    monkeypatch.setattr(lemmas, split, lambda t: original(t)[::-1])
+    report = run_split_lemma_suite(make_alphabet("classical", 4, 2))
+    assert not report["ok"]
+    assert {"%s%d" % f["clause"] for f in report["failures"]} == broken
 
 
 def test_admissibility_suite_small_counts():
