@@ -163,7 +163,6 @@ class QContext:
         self.s = plan.r
         self.r0 = 1 if plan.sign == "-" else 0
         self.rk = {}
-        self.pk = {}
 
     def c_within(self, k):
         return self.s + 2 * self.plan.q + 2 * k - 1
@@ -268,7 +267,6 @@ def q6(ctx):
         want = ctx.mL(k) - ctx.mR(k + 1) - ctx.a(k) + r2 * (r + 1) - p
         if p < 0 or sig.q != want:
             return False
-        ctx.pk[k] = p
     return True
 
 
@@ -330,10 +328,7 @@ def q12(ctx):
     p = first - sig.p
     want = (ctx.m[ctx.middle_top()] - ctx.mR(1) - ctx.r0
             + r1 * (ctx.r0 + 1) - p)
-    if p < 0 or sig.q != want:
-        return False
-    ctx.pk[0] = p
-    return True
+    return p >= 0 and sig.q == want
 
 
 Q_CONDITIONS = (q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12)

@@ -45,7 +45,7 @@ def _parse_partition(text):
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise RejectError("cannot parse partition %r" % text) from None
-    return tuple(x for x in parts if x)
+    return parts
 
 
 def _box_count(text):
@@ -69,25 +69,28 @@ def _add_plan(p, bounded=True):
 
 
 def _config(args):
+    """The plan of a subcommand with --max-boxes, refused when a super run
+    lacks the bound or no tableau of the plan has that few boxes."""
     alphabet = make_alphabet(args.family, args.m, args.n)
     plan = osptab.shape_plan(_parse_partition(args.lam), args.ell, alphabet)
-    if args.family == "super" and args.max_boxes is None:
-        raise RejectError("super alphabets require --max-boxes")
+    if args.max_boxes is None:
+        if args.family == "super":
+            raise RejectError("super alphabets require --max-boxes")
+    elif args.max_boxes < plan.boxes_lower_bound():
+        raise RejectError("the plan needs at least %d boxes; raise --max-boxes"
+                          % plan.boxes_lower_bound())
     return alphabet, plan
 
 
 def _stream_config(args):
-    """The plan of enumerate, graph and char, refused when their result would
-    be unbounded or empty."""
+    """The plan of enumerate, graph and char, refused also when their result
+    would be unbounded."""
     alphabet, plan = _config(args)
     if args.max_boxes is None:
         dim = character.weyl_dim_D(plan.ell, plan.lam, alphabet.size)
         if dim > CLASSICAL_MAX_TABLEAUX:
             raise RejectError("the module has %d tableaux, more than %d; give "
                               "--max-boxes" % (dim, CLASSICAL_MAX_TABLEAUX))
-    elif args.max_boxes < plan.boxes_lower_bound():
-        raise RejectError("the plan needs at least %d boxes; raise --max-boxes"
-                          % plan.boxes_lower_bound())
     return alphabet, plan
 
 
@@ -149,7 +152,8 @@ def cmd_dims(args):
     if args.family == "super":
         raise RejectError("dims is the type D Weyl dimension; the super "
                           "family has none")
-    alphabet, plan = _config(args)
+    alphabet = make_alphabet(args.family, args.m, args.n)
+    plan = osptab.shape_plan(_parse_partition(args.lam), args.ell, alphabet)
     dim = character.weyl_dim_D(plan.ell, plan.lam, alphabet.size)
     _write(args, "%d\n" % dim)
     return 0

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 from .alphabet import (Weight, simple_root_delta, simple_root_indices,
                        zero_weight)
-from .osptab import (OspTableauD, SpinColumn, enumerate_tableaux,
-                     highest_ssyt_cols, part_cols, part_from_cols,
-                     part_letters, parts_from_columns, slot_of, tuple_to_json,
+from .osptab import (OspTableauD, RejectError, SpinColumn,
+                     enumerate_tableaux, highest_ssyt_cols, part_letters,
+                     parts_cols, parts_from_columns, slot_of, tuple_to_json,
                      tuple_to_matrix)
 from .signature import survivors
 from .tableau import column_is_valid, letters_weight
@@ -171,37 +171,33 @@ def _cols_op(alphabet, family, color, cols, op):
 # ---------------------------------------------------------------------------
 # operators on components and full tableaux
 
-def _part_op(alphabet, family, color, part, op):
-    cols = _cols_op(alphabet, family, color, part_cols(part), op)
+def _parts_op(alphabet, family, color, parts, op):
+    """Act on the components (T_k, ..., T_j) through their matrix columns
+    and rebuild each image in its component's slot; None when the operator
+    is undefined."""
+    cols = _cols_op(alphabet, family, color, parts_cols(parts), op)
     if cols is None:
         return None
     try:
-        return part_from_cols(slot_of(part), cols)
-    except Exception as exc:
+        return parts_from_columns([slot_of(part) for part in parts], cols)
+    except RejectError as exc:
         raise CrystalError("component left its class: %s" % exc) from exc
 
 
 def e_pair_bar(alphabet, family, color, part):
     """Raising operator on a single two-column or spin component."""
-    return _part_op(alphabet, family, color, part, "e")
+    up = _parts_op(alphabet, family, color, (part,), "e")
+    return None if up is None else up[0]
 
 
 def e_osp(alphabet, family, color, tt):
-    return _osp_op(alphabet, family, color, tt, "e")
+    parts = _parts_op(alphabet, family, color, tt.parts, "e")
+    return None if parts is None else OspTableauD(parts, tt.plan)
 
 
 def f_osp(alphabet, family, color, tt):
-    return _osp_op(alphabet, family, color, tt, "f")
-
-
-def _osp_op(alphabet, family, color, tt, op):
-    cols = _cols_op(alphabet, family, color, tuple_to_matrix(tt).cols, op)
-    if cols is None:
-        return None
-    try:
-        return OspTableauD(parts_from_columns(cols, tt.plan), tt.plan)
-    except Exception as exc:
-        raise CrystalError("tableau left its set: %s" % exc) from exc
+    parts = _parts_op(alphabet, family, color, tt.parts, "f")
+    return None if parts is None else OspTableauD(parts, tt.plan)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 
 from .alphabet import simple_root_indices
-from .crystal import _cols_op, _spin_sign, e_pair_bar
+from .crystal import _parts_op, _spin_sign, e_pair_bar
 from .osptab import (BarPair, SpinColumn, is_admissible, lr_split, osp_pairs,
-                     part_cols, part_from_cols, slot_of, spin_columns,
-                     star_split)
+                     spin_columns, star_split)
 
 # each suite's member budget and largest a, and the sampler's draw limit
 SPLIT_BUDGET, SPLIT_MAX_A = 8, 4
@@ -226,7 +225,7 @@ def run_admissibility_suite(alphabet, per_case=2000, seed=2):
                                        modes, inert, active, active_r)
         if not is_admissible(t2, t1):
             continue
-        moved = _apply_pair_raise(alphabet, spin, t2, t1)
+        moved = _parts_op(alphabet, "classical", spin, (t2, t1), "e")
         if moved is None:
             continue
         u2, u1 = moved
@@ -242,16 +241,3 @@ def run_admissibility_suite(alphabet, per_case=2000, seed=2):
             "complete": not modes,
             "failures": failures, "ok": not failures}
 
-
-def _apply_pair_raise(alphabet, spin_color, t2, t1):
-    """Raising at the spin color on the two-component tensor (T2, T1);
-    columns enter in the matrix order of the pair of components.  A
-    component that leaves its class raises RejectError."""
-    cols1 = part_cols(t1)
-    new = _cols_op(alphabet, "classical", spin_color, cols1 + part_cols(t2),
-                   "e")
-    if new is None:
-        return None
-    n1 = len(cols1)
-    return (part_from_cols(slot_of(t2), new[n1:]),
-            part_from_cols(slot_of(t1), new[:n1]))

@@ -312,12 +312,12 @@ def _right_lr(t):
 
 def _entries_leq(x_col, y_col, shift=0):
     """x_col(i + shift) <= y_col(i) for all i, equality only at even entries."""
-    for i in range(1, len(x_col) - shift + 1):
-        x = entry_from_bottom(x_col, i + shift)
-        y = entry_from_bottom(y_col, i)
-        if y is None or not row_pair_ok(x, y):
-            return False
-    return True
+    # bottom-aligned: x_col[n - i] against y_col[-i] for i = 1..n
+    n = len(x_col) - shift
+    if n <= 0:
+        return True
+    return n <= len(y_col) and all(map(row_pair_ok, x_col[n - 1::-1],
+                                       y_col[::-1]))
 
 
 def _height_ok(height, bound):
@@ -430,7 +430,9 @@ class ShapePlan(NamedTuple):
 def shape_plan(lam, ell, alphabet=None):
     """Derive the component plan of (lambda, ell); rejects pairs outside the
     admissible set and, when an alphabet is given, outside its lattice."""
-    lam = tuple(int(x) for x in lam if x)
+    lam = tuple(int(x) for x in lam)
+    while lam and lam[-1] == 0:  # trailing zeros only: (0, 1) is rejected
+        lam = lam[:-1]
     if not is_partition(lam):
         raise RejectError("lambda must be a partition")
     if ell < 1:
@@ -666,31 +668,35 @@ def _slot_floor(kind, param):
 # ---------------------------------------------------------------------------
 # matrix form and highest-weight candidates
 
-def tuple_to_matrix(t):
-    """The biword matrix of a tableau tuple: m^(1) is T_0 (when present),
-    then each pair contributes its right and left columns."""
-    cols = []
-    for part in reversed(t.parts):
-        cols.extend(part_cols(part))
-    return make_matrix(cols)
+def parts_cols(parts):
+    """The matrix columns of the components (T_k, ..., T_j), T_j's first;
+    a pair contributes its right and left columns, a spin column itself."""
+    return tuple(col for part in reversed(parts) for col in part_cols(part))
 
 
-def parts_from_columns(cols, plan):
-    """Rebuild components from matrix columns; raises RejectError when a
-    column pair leaves its class."""
+def parts_from_columns(slots, cols):
+    """The components filling ``slots``, listed in (T_k, ..., T_j) order,
+    with the matrix columns ``cols``: the inverse of :func:`parts_cols`.
+    Raises RejectError when a column pair leaves its class."""
     parts = []
     pos = 0
-    for slot in reversed(expected_kinds(plan)):
+    for slot in reversed(slots):
         width = 1 if slot[0] == "spin" else 2
         parts.append(part_from_cols(slot, cols[pos:pos + width]))
         pos += width
     if pos != len(cols):
-        raise RejectError("column count does not match the plan")
+        raise RejectError("column count does not match")
     return tuple(reversed(parts))
 
 
+def tuple_to_matrix(t):
+    """The biword matrix of a tableau tuple."""
+    return make_matrix(parts_cols(t.parts))
+
+
 def matrix_to_tuple(matrix, plan):
-    return OspTableauD(parts_from_columns(matrix.cols, plan), plan)
+    return OspTableauD(parts_from_columns(expected_kinds(plan), matrix.cols),
+                       plan)
 
 
 def highest_ssyt_cols(alphabet, family, shape):
@@ -712,15 +718,9 @@ def highest_ssyt_cols(alphabet, family, shape):
 def highest_weight_tuple(plan, alphabet, family):
     """The highest-weight candidate: H for the classical family, the genuine
     one for the super family."""
-    if family == "super":
-        lam_cols = highest_ssyt_cols(alphabet, family, plan.lam)
-    parts = []
-    for t in range(plan.M, 0, -1):
-        if family == "super":
-            left = lam_cols[plan.M - t]
-        else:
-            left = tuple(alphabet.letter(r) for r in range(plan.heights[t - 1]))
-        parts.append(classify_pair(left, (), plan.heights[t - 1]))
+    lam_cols = highest_ssyt_cols(alphabet, family, plan.lam)
+    parts = [classify_pair(lam_cols[plan.M - t], (), plan.heights[t - 1])
+             for t in range(plan.M, 0, -1)]
     top = (alphabet.letter(0),)
     for _ in range(plan.q):
         if plan.sign == "+":

@@ -125,13 +125,6 @@ class BiwordMatrix(NamedTuple):
 
     cols: tuple
 
-    @property
-    def ell(self):
-        return len(self.cols)
-
-    def boxes(self):
-        return sum(len(c) for c in self.cols)
-
 
 def make_matrix(cols):
     cols = tuple(tuple(c) for c in cols)

@@ -177,6 +177,11 @@ MISSING = "<missing directory>"  # replaced by one under tmp_path
     (("enumerate", *PLAN, "--max-boxes", "1"), "needs at least 2 boxes"),
     (("graph", *PLAN, "--max-boxes", "1"), "needs at least 2 boxes"),
     (("char", *PLAN, "--max-boxes", "1"), "needs at least 2 boxes"),
+    (("kcoef", *PLAN, "--max-boxes", "1"), "needs at least 2 boxes"),
+    (("dims", "-m", "3", "--lambda", "0,1", "--ell", "2"),
+     "lambda must be a partition"),
+    (("dims", "-m", "3", "--lambda", "1,0,1", "--ell", "2"),
+     "lambda must be a partition"),
 ])
 def test_usage_errors_exit_2(args, message, tmp_path):
     missing = str(tmp_path / "missing")

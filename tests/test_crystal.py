@@ -2,7 +2,7 @@ import pytest
 
 from ospd import make_alphabet, shape_plan
 from ospd.alphabet import parse_root_index, simple_root_delta, simple_root_indices
-from ospd.crystal import (_cols_op, _part_op, check_axioms, e_osp, e_pair_bar,
+from ospd.crystal import (_cols_op, _parts_op, check_axioms, e_osp, e_pair_bar,
                           explore, f_osp, f_reachable, graph_to_dot,
                           graph_to_json, is_genuine_highest, letter_e,
                           letter_f, plan_weight, tuple_weight)
@@ -94,11 +94,11 @@ def test_spin_domino_ops(cl40):
     spin = simple_root_indices(A)[0]
 
     def act(col, op):
-        return _part_op(A, "classical", spin, SpinColumn(col), op)
+        return _parts_op(A, "classical", spin, (SpinColumn(col),), op)
 
-    assert act(letters(A, "b4", "b3"), "e") == SpinColumn(())
+    assert act(letters(A, "b4", "b3"), "e") == (SpinColumn(()),)
     assert act(letters(A, "b4", "b2"), "e") is None
-    assert act((), "f") == SpinColumn(letters(A, "b4", "b3"))
+    assert act((), "f") == (SpinColumn(letters(A, "b4", "b3")),)
     assert act(letters(A, "b3", "b2"), "f") is None
 
 
@@ -133,7 +133,7 @@ def test_pair_ops_inverse(rng):
             color = rng.choice(colors)
             up = e_pair_bar(A, kind, color, t)
             if up is not None:
-                assert _part_op(A, kind, color, up, "f") == t
+                assert _parts_op(A, kind, color, (up,), "f") == (t,)
 
 
 def test_highest_tuple_is_frozen():
@@ -162,6 +162,30 @@ def test_explore_super_truncation(sup22):
     g = explore(plan, sup22, "super", max_boxes=4)
     assert g.truncated  # lowering out of the bound is recorded
     assert not check_axioms(g)
+
+
+def test_check_axioms_reports_broken_edges(cl40):
+    g = explore(shape_plan((1,), 2, cl40), cl40, "classical")
+    assert not check_axioms(g)
+    # swap the destinations of the first two edges of one colour
+    first = {}
+    for i, (_, color, _) in enumerate(g.edges):
+        if color in first:
+            break
+        first[color] = i
+    j = first[color]
+    (s1, _, d1), (s2, _, d2) = g.edges[j], g.edges[i]
+    g.edges[j], g.edges[i] = (s1, color, d2), (s2, color, d1)
+    bad = check_axioms(g)
+    assert ("inverse", s1, color, d2) in bad
+    assert ("inverse", s2, color, d1) in bad
+    # restore the edges and give one destination its source's weight
+    g.edges[j], g.edges[i] = (s1, color, d1), (s2, color, d2)
+    assert not check_axioms(g)
+    g.weights[d1] = g.weights[s1]
+    bad = check_axioms(g)
+    assert ("weight", s1, color, d1) in bad
+    assert all(kind == "weight" for kind, *_ in bad)
 
 
 def test_closure_random_applications(rng, sup22):
@@ -200,9 +224,10 @@ def test_spin_component_is_its_column(rng, sup22):
         color = rng.choice(colors)
         for op in "ef":
             moved = _cols_op(sup22, "super", color, (col,), op)
-            image = _part_op(sup22, "super", color, spin, op)
-            assert image == (None if moved is None else SpinColumn(moved[0]))
-            assert image is None or image.sign == spin.sign
+            image = _parts_op(sup22, "super", color, (spin,), op)
+            assert image == (None if moved is None
+                             else (SpinColumn(moved[0]),))
+            assert image is None or image[0].sign == spin.sign
 
 
 def test_spin_slot_from_one_column(sup22):
@@ -230,7 +255,7 @@ def test_tensor_order_regression_super_isotropic(sup22):
     A = sup22
     t = classify_pair(letters(A, "b1", "1/2"), letters(A, "b2", "3/2"), 2)
     zero = parse_root_index(A, "0")
-    down = _part_op(A, "super", zero, t, "f")
+    (down,) = _parts_op(A, "super", zero, (t,), "f")
     assert down.left == letters(A, "1/2", "1/2") and down.right == t.right
     assert e_pair_bar(A, "super", zero, t) is None
 

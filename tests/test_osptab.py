@@ -334,6 +334,8 @@ JSON_EDITS = {
                        "lacks 'lambda'"),
     "lambda-not-list": (lambda b: b["plan"].update({"lambda": "21"}),
                         "'lambda' must be a list"),
+    "lambda-inner-zero": (lambda b: b["plan"].update({"lambda": [0, 1]}),
+                          "lambda must be a partition"),
     "R-int": (lambda b: b["parts"][0].update(R=5), "'R' must be a list"),
     "R-string": (lambda b: b["parts"][0].update(R="b1"), "'R' must be a list"),
     "parts-int": (lambda b: b.update(parts=5), "'parts' must be a list"),
