@@ -28,6 +28,11 @@ class RejectError(ValueError):
     """A candidate object fails a membership or admissibility condition."""
 
 
+# most slots enumeration takes; it recurses once per slot, and from the command
+# line 988 slots ran and 990 overflowed the default recursion limit
+MAX_SLOTS = 500
+
+
 class OspPair(NamedTuple):
     left: tuple
     right: tuple
@@ -320,12 +325,6 @@ def _entries_leq(x_col, y_col, shift=0):
                                        y_col[::-1]))
 
 
-def _height_ok(height, bound):
-    """Clause (i) of admissibility: the height bound.  A function of its own
-    so that ``ospd verify --mutate flip-adm-i`` can replace it."""
-    return height <= bound
-
-
 def _admissible_nonbar(t, profile, right_star, right_lr):
     """T < S for T an a-pair and S an a'-pair, a barred pair or a spin
     column, given S's :func:`_adm_profile`.  T's R*T and RT are read through
@@ -337,7 +336,8 @@ def _admissible_nonbar(t, profile, right_star, right_lr):
     r_t = t.residue
     eps = 1 if spin_minus else 0
 
-    if not _height_ok(len(t.right), len(s_l) - a_p + 2 * r_s * r_t):
+    # (i)
+    if len(t.right) > len(s_l) - a_p + 2 * r_s * r_t:
         return False
     # (ii)
     x_col = right_star(t) if r_s == r_t == 1 else t.right
@@ -374,36 +374,40 @@ def _sigma_in_shape(u, v, aa, bb):
 
 
 def is_admissible_sigma(t, s):
-    """Same relation, evaluated through signatures instead of entrywise
-    comparisons; the two evaluations must agree."""
-    if isinstance(t, OspPair) and isinstance(s, BarPair):
-        return is_admissible_sigma(t, SpinColumn(s.left))
+    """Same relation, through signatures and the sliding splits instead of
+    entrywise comparisons and the operator splits; the two must agree."""
+    if isinstance(s, BarPair):
+        s = SpinColumn(s.left)
     if isinstance(t, BarPair):
-        if isinstance(s, BarPair):
-            right = s.left
-        elif isinstance(s, SpinColumn) and s.sign == "-":
-            right = s.col
-        else:
+        if not (isinstance(s, SpinColumn) and s.sign == "-"):
             raise RejectError("no admissibility relation")
-        if len(t.right) % 2 == 0 or len(right) < len(t.right):
+        if len(t.right) % 2 == 0 or len(s.col) < len(t.right):
             return False
-        return sigma_pair(t.right, right) == (0, len(right) - len(t.right))
+        return sigma_pair(t.right, s.col) == (0, len(s.col) - len(t.right))
     if not isinstance(t, OspPair):
         raise RejectError("no admissibility relation")
+    # S's profile from the sliding splits; a spin column is its own splits
+    if isinstance(s, SpinColumn):
+        a_p = r_s = s.residue
+        s_l = ls = s_lstar = s.col
+    else:
+        a_p, r_s, s_l = s.a, s.residue, s.left
+        ls = lr_split_sliding(s)[0]
+        s_lstar = star_split_sliding(s)[0] if r_s == 1 else None
 
-    a_p, r_s, s_l, ls, s_lstar, spin_minus = _adm_profile(s)
     if t.a < a_p:
         raise RejectError("left member must have a >= a'")
     r_t = t.residue
     if len(t.right) > len(s_l) - a_p + 2 * r_s * r_t:
         return False
-    x_col = star_split(t)[1] if r_s == r_t == 1 else t.right
+    x_col = star_split_sliding(t)[1] if r_s == r_t == 1 else t.right
     if len(ls) < len(x_col):
         return False
     if sigma_pair(x_col, ls) != (0, len(ls) - len(x_col)):
         return False
-    rt = lr_split(t)[1]
-    eps = 1 if (spin_minus and r_s == r_t == 1) else 0
+    rt = lr_split_sliding(t)[1]
+    # a spin column with r_s = 1 has odd height: its sign is -
+    eps = 1 if isinstance(s, SpinColumn) and r_s == r_t == 1 else 0
     y_col = s_lstar if r_s == r_t == 1 else s_l
     aa = t.a - a_p + eps
     bb = aa + len(y_col) - len(rt)
@@ -602,6 +606,9 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
             raise RejectError("super alphabets require max_boxes")
         max_boxes = plan.ell * alphabet.size
     kinds = expected_kinds(plan)
+    if len(kinds) > MAX_SLOTS:
+        raise RejectError("the plan has %d slots, more than %d"
+                          % (len(kinds), MAX_SLOTS))
     floor = plan.boxes_lower_bound()
     if floor > max_boxes:
         return []

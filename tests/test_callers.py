@@ -3,6 +3,9 @@ library or the demos, so that no definition lives only for its own unit
 test.  A reference is a ``Name`` or an ``Attribute`` naming the definition
 anywhere in ``src/ospd/*.py`` or ``demos/*.py`` outside the definition's
 own body; ``__init__.py`` only re-exports and is not scanned.
+
+The library also holds no module state that code rewrites: no ``setattr``
+call and no ``global`` statement anywhere in ``src/ospd``.
 """
 
 import ast
@@ -15,8 +18,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 ALLOWED = {
     # reference oracles that the tests compare the library against
-    "is_admissible_sigma", "lr_split_sliding", "star_split_sliding",
-    "valid_slide_offsets", "k_set_via_inverse", "k_from_character",
+    "is_admissible_sigma", "valid_slide_offsets", "k_set_via_inverse",
+    "k_from_character",
     # readers of what the CLI writes: tableaux, and colour names in the
     # graph JSON
     "tuple_from_json", "parse_root_index",
@@ -61,3 +64,15 @@ def test_every_definition_has_a_caller():
 def test_allowlist_names_existing_definitions():
     definitions, _ = scan()
     assert ALLOWED <= {name for _, name in definitions}
+
+
+def test_library_rewrites_no_module_state():
+    found = []
+    for path in sorted((ROOT / "src" / "ospd").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Global) or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, "setattr or global in src/ospd: %s" % found

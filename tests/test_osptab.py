@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ospd import (classify_pair, cli, enumerate_tableaux, is_admissible,
-                  lr_split, make_alphabet, osptab, shape_plan, star_split,
-                  validate, weyl_dim_D)
+from ospd import (classify_pair, enumerate_tableaux, is_admissible,
+                  lr_split, make_alphabet, shape_plan, star_split, validate,
+                  weyl_dim_D)
 from ospd.osptab import (OspPair, OspTableauD, RejectError, SpinColumn,
                          all_columns, highest_weight_tuple,
                          is_admissible_sigma, lr_split_sliding, osp_pairs,
@@ -13,6 +15,7 @@ from ospd.osptab import (OspPair, OspTableauD, RejectError, SpinColumn,
 from ospd.signature import sigma_pair
 
 from conftest import letters
+from faults import FAULTS
 
 
 @pytest.fixture(scope="module")
@@ -292,12 +295,12 @@ def test_enumeration_agrees_with_the_public_relation(kind, m, n, lam, ell,
 @pytest.mark.parametrize("lam,ell", [((2, 2), 4), ((2,), 3)],
                          ids=["D4-22-4", "D4-2-3"])
 def test_enumeration_reaches_the_height_clause(cl40, monkeypatch, lam, ell):
-    # ``verify --mutate flip-adm-i`` replaces osptab._height_ok; the
-    # enumeration must see the replacement
+    # the fault table's clause (i) row wraps osptab._admissible_nonbar; the
+    # enumeration, which calls it directly, must see the wrapper
     plan = shape_plan(lam, ell, cl40)
     dim = weyl_dim_D(ell, lam, cl40.size)
     assert len(enumerate_tableaux(plan, cl40)) == dim
-    monkeypatch.setattr(osptab, "_height_ok", cli.FAULTS["flip-adm-i"][2])
+    FAULTS["height-clause-strict"].apply(monkeypatch)
     assert len(enumerate_tableaux(plan, cl40)) != dim
 
 
@@ -351,3 +354,31 @@ def test_json_reader_rejects_a_bad_field(cl40, case):
     edit(blob)
     with pytest.raises(RejectError, match=reason):
         tuple_from_json(cl40, blob)
+
+
+CL40 = make_alphabet("classical", 4, 0)
+HIGHEST_21_3 = json.dumps(tuple_to_json(highest_weight_tuple(
+    shape_plan((2, 1), 3, CL40), CL40, "classical")))
+
+# arbitrary JSON, and the values a reader expects: letter lists, kinds, signs
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8) | st.lists(st.sampled_from(
+        ["b4", "b3", "b2", "b1", "1", "2", "3", "4"]), max_size=5) \
+    | st.sampled_from(["pair", "bar", "spin", "+", "-"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(0, "L"), (0, "R"), (0, "kind"), (1, "col"),
+                        (1, "kind"), (1, "sign")]), JSON_VALUES)
+def test_json_reader_raises_only_reject_error(field, value):
+    # parts[0] of this tableau is a pair and parts[1] a spin column
+    blob = json.loads(HIGHEST_21_3)
+    index, key = field
+    blob["parts"][index][key] = value
+    try:
+        tuple_from_json(CL40, blob)
+    except RejectError:
+        pass
