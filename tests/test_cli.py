@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ospd import cli
+from ospd import cli, make_alphabet, osptab
+
+from faults import FAULTS
 
 
 def run_cli(*args):
@@ -229,3 +231,48 @@ def test_verify_default_battery_and_seed_reproducibility(tmp_path):
                  if c["name"] == "split-lemma-suites"][0]["detail"]
         assert (lemma["classical"]["split"], lemma["super"]["split"]) == \
             (2396, 6800)
+
+
+@pytest.fixture(scope="module")
+def faulted_verify():
+    """One in-process ``verify`` run under the fault table's clause (i) row:
+    its exit code, its report, and whether the run rebound any name of
+    ``osptab`` itself (it must not: the fault lives in the test)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        # split-lemma-suites samples admissible pairs by rejection; under a
+        # strict height bound it spends its 2 * 10^6 draws, minutes in all
+        checks = cli._verify_checks
+        monkeypatch.setattr(cli, "_verify_checks", lambda seed: [
+            c for c in checks(seed) if c[0] != "split-lemma-suites"])
+        FAULTS["height-clause-strict"].apply(monkeypatch)
+        before = dict(vars(osptab))
+        out = StringIO()
+        with redirect_stdout(out), redirect_stderr(StringIO()):
+            code = cli.main(["verify"])
+        rebound = {k for k, v in vars(osptab).items() if before.get(k) is not v}
+    return code, json.loads(out.getvalue()), rebound
+
+
+def test_verify_mutation_fails_with_named_check(faulted_verify):
+    code, report, _ = faulted_verify
+    assert code == 1
+    failing = [c["name"] for c in report["checks"] if not c["ok"]]
+    # the pair-spin plans test admissibility inside an enumeration
+    assert {"classical-crystal-D3-(1,)-3",
+            "classical-crystal-D3-(2,)-3"} <= set(failing)
+
+
+def test_verify_mutation_does_not_outlive_the_battery(faulted_verify):
+    # the worked example T < S2 of the battery, which the fault breaks
+    _, report, rebound = faulted_verify
+    assert rebound == set()
+    assert "worked-examples" in [c["name"] for c in report["checks"]
+                                 if not c["ok"]]
+    A = make_alphabet("super", 4, 6)
+    L = lambda *names: tuple(A.parse(s) for s in names)
+    T = osptab.classify_pair(L("b4", "b1", "1/2", "3/2", "3/2"),
+                             L("b3", "b2", "3/2", "5/2"), 3)
+    S2 = osptab.classify_pair(L("b3", "b2", "b1", "1/2", "3/2", "5/2", "7/2"),
+                              L("b2", "b1", "1/2", "3/2", "7/2", "9/2"), 1)
+    assert osptab.is_admissible(T, S2)
+    assert cli._run_check("worked-examples", cli._check_worked_examples)["ok"]
