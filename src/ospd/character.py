@@ -188,20 +188,6 @@ class QContext:
                 raise RejectError("residues undefined before (Q3)")
         return self.rk[k]
 
-    def e_power(self, q_cols, color, power):
-        for _ in range(power):
-            q_cols = gl_e_tableau(q_cols, color)
-            if q_cols is None:
-                return None
-        return q_cols
-
-    def f_power(self, q_cols, color, power):
-        for _ in range(power):
-            q_cols = gl_f_tableau(q_cols, color)
-            if q_cols is None:
-                return None
-        return q_cols
-
 
 def q1(ctx):
     for k in range(1, ctx.plan.M + 1):
@@ -243,9 +229,9 @@ def q4(ctx):
 def q5(ctx):
     for k in range(1, ctx.plan.M):
         r, r2 = ctx.residue(k), ctx.residue(k + 1)
-        cur = ctx.e_power(ctx.q, ctx.c_within(k), ctx.a(k) - r)
+        cur = gl_e_tableau(ctx.q, ctx.c_within(k), ctx.a(k) - r)
         if cur is not None:
-            cur = ctx.f_power(cur, ctx.c_within(k + 1), r * r2)
+            cur = gl_f_tableau(cur, ctx.c_within(k + 1), r * r2)
         if cur is None:
             return False
         want = Signature(0, ctx.mL(k) - ctx.mR(k + 1) - ctx.a(k) + r * (r2 + 1))
@@ -257,9 +243,9 @@ def q5(ctx):
 def q6(ctx):
     for k in range(1, ctx.plan.M):
         r, r2 = ctx.residue(k), ctx.residue(k + 1)
-        cur = ctx.e_power(ctx.q, ctx.c_within(k + 1), ctx.a(k + 1) - r2)
+        cur = gl_e_tableau(ctx.q, ctx.c_within(k + 1), ctx.a(k + 1) - r2)
         if cur is not None:
-            cur = ctx.f_power(cur, ctx.c_within(k), r * r2)
+            cur = gl_f_tableau(cur, ctx.c_within(k), r * r2)
         if cur is None:
             return False
         sig = sigma_tableau(cur, ctx.c_cross(k))
@@ -309,7 +295,7 @@ def q11(ctx):
     if not _has_boundary(ctx):
         return True
     r1 = ctx.residue(1)
-    cur = ctx.f_power(ctx.q, ctx.c_within(1), ctx.r0 * r1)
+    cur = gl_f_tableau(ctx.q, ctx.c_within(1), ctx.r0 * r1)
     if cur is None:
         return False
     want = Signature(0, ctx.m[ctx.middle_top()] - ctx.mR(1) + ctx.r0 * r1)
@@ -320,7 +306,7 @@ def q12(ctx):
     if not _has_boundary(ctx):
         return True
     r1 = ctx.residue(1)
-    cur = ctx.e_power(ctx.q, ctx.c_within(1), ctx.a(1) - r1)
+    cur = gl_e_tableau(ctx.q, ctx.c_within(1), ctx.a(1) - r1)
     if cur is None:
         return False
     sig = sigma_tableau(cur, ctx.middle_top())

@@ -28,7 +28,7 @@ from .osptab import (OspTableauD, RejectError, SpinColumn,
                      enumerate_tableaux, highest_ssyt_cols, part_letters,
                      parts_cols, parts_from_columns, slot_of, tuple_to_json,
                      tuple_to_matrix)
-from .signature import survivors
+from .signature import acted_on
 from .tableau import column_is_valid, letters_weight
 
 
@@ -88,14 +88,6 @@ def _spin_sign(col):
 # ---------------------------------------------------------------------------
 # the tensor engine
 
-def _pick(signs, op):
-    """Index acted on by raising ('e') or lowering ('f'), or None."""
-    minus, plus = survivors(signs)
-    if op == "e":
-        return minus[-1] if minus else None
-    return plus[0] if plus else None
-
-
 def _apply_letters(alphabet, family, color, seq, op):
     """Act on a list of letters in tensor order; returns (index, letter)."""
     if family == "super" and color.odd:
@@ -119,10 +111,10 @@ def _apply_letters(alphabet, family, color, seq, op):
     upper = family == "super" and color.chain < alphabet.m
     order = range(len(seq) - 1, -1, -1) if upper else range(len(seq))
     signs = [_letter_sign(color, seq[i]) for i in order]
-    hit = _pick(signs, op)
+    hit = acted_on(signs, op)
     if hit is None:
         return None
-    idx = list(order)[hit]
+    idx = order[hit[0]]
     new = letter_e(alphabet, color, seq[idx]) if op == "e" else \
         letter_f(alphabet, color, seq[idx])
     if new is None:
@@ -139,14 +131,14 @@ def _cols_op(alphabet, family, color, cols, op):
         # classical: lower rule on the matrix order; super: upper rule on the
         # reversed order, which is the same computation
         signs = [_spin_sign(c) for c in cols]
-        idx = _pick(signs, op)
-        if idx is None:
+        hit = acted_on(signs, op)
+        if hit is None:
             return None
-        new = (spin_e_col if op == "e" else spin_f_col)(alphabet, cols[idx])
+        new = (spin_e_col if op == "e" else spin_f_col)(alphabet, cols[hit[0]])
         if new is None:
             raise AssertionError("sign rule chose an inert column")
         out = list(cols)
-        out[idx] = new
+        out[hit[0]] = new
         return tuple(out)
 
     positions = []

@@ -15,10 +15,11 @@ pairwise admissible.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .alphabet import EVEN
-from .signature import Signature, gl_e_matrix, gl_f_matrix, sigma_pair
+from .signature import MINUS, PLUS, acted_on, merged_pair_word, sigma_pair
 from .tableau import (column_is_valid, conjugate, entry_from_bottom,
                       is_partition, letters_from_json, letters_to_json,
                       make_matrix, row_pair_ok)
@@ -199,36 +200,37 @@ def valid_slide_offsets(left, right, a):
 # ---------------------------------------------------------------------------
 # the two splits
 
-def _pair_matrix(left, right):
-    # m^(1) is the right column, m^(2) the left column
-    return make_matrix((right, left))
+def _moved_split(pair, op, k):
+    """The columns (left, right) after the k-th power of the operator at color
+    1 of the matrix (T^R, T^L), whose row word is the pair's merged word."""
+    word = merged_pair_word(pair.left, pair.right)
+    hit = acted_on([src for _, src in word], op, k)
+    if hit is None:
+        raise AssertionError("%s^%d is undefined on %r" % (op, k, pair))
+    cols = {MINUS: [], PLUS: []}
+    for idx in range(len(word) - 1, -1, -1):  # increasing letters
+        letter, src = word[idx]
+        if idx in hit:
+            src = PLUS if src == MINUS else MINUS
+        cols[src].append(letter)
+    return tuple(cols[MINUS]), tuple(cols[PLUS])
 
 
 def lr_split(pair):
-    """The split (LT, RT), computed as the (a - r)-th raising power at color 1
-    of the two-column matrix."""
+    """The split (LT, RT): the (a - r)-th raising power at color 1 of the
+    two-column matrix moves a - r letters from T^L to T^R."""
     if isinstance(pair, SpinColumn):
         return pair.col, pair.col
-    m = _pair_matrix(pair.left, pair.right)
-    for _ in range(pair.a - pair.residue):
-        m = gl_e_matrix(m, 1)
-        if m is None:
-            raise AssertionError("raising power exhausted early")
-    return m.cols[1], m.cols[0]
+    return _moved_split(pair, "e", pair.a - pair.residue)
 
 
 def star_split(pair):
     """The split (L*T, R*T), the lowering operator at color 1; residue 1 only."""
-    if isinstance(pair, SpinColumn):
-        if pair.residue != 1:
-            raise RejectError("star split needs residue 1")
-        return pair.col, pair.col
     if pair.residue != 1:
         raise RejectError("star split needs residue 1")
-    m = gl_f_matrix(_pair_matrix(pair.left, pair.right), 1)
-    if m is None:
-        raise AssertionError("lowering undefined despite residue 1")
-    return m.cols[1], m.cols[0]
+    if isinstance(pair, SpinColumn):
+        return pair.col, pair.col
+    return _moved_split(pair, "f", 1)
 
 
 def lr_split_sliding(pair):
@@ -307,14 +309,6 @@ def _adm_profile(s):
     return (s.a, s.residue, s.left, ls, lstar, False)
 
 
-def _right_star(t):
-    return star_split(t)[1]
-
-
-def _right_lr(t):
-    return lr_split(t)[1]
-
-
 def _entries_leq(x_col, y_col, shift=0):
     """x_col(i + shift) <= y_col(i) for all i, equality only at even entries."""
     # bottom-aligned: x_col[n - i] against y_col[-i] for i = 1..n
@@ -350,27 +344,50 @@ def _admissible_nonbar(t, profile, right_star, right_lr):
     return _entries_leq(rt, s_l, shift=t.a - a_p)
 
 
+class _Table(dict):
+    """The values of ``fn``, each computed on its first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def tabled_admissibility():
+    """The relation T < S as ``left_of(s)``, the predicate ``t -> T < S``.
+    S's profile and T's R*T and RT are computed on first use and then looked
+    up, in tables that hold only the members asked about and last as long as
+    ``left_of``: one enumeration or one suite run."""
+    profile = _Table(_adm_profile)
+    right_star = _Table(lambda t: star_split(t)[1]).__getitem__
+    right_lr = _Table(lambda t: lr_split(t)[1]).__getitem__
+
+    def left_of(s):
+        if not isinstance(s, (OspPair, SpinColumn, BarPair)):
+            raise RejectError("%r is not a component" % (s,))
+        s_profile = profile[s]
+
+        def admissible(t):
+            if isinstance(t, OspPair):
+                return _admissible_nonbar(t, s_profile, right_star, right_lr)
+            if isinstance(t, BarPair) and s_profile[5]:
+                # S is barred or a spin- column: (T^R, S^L) is a barred member
+                return try_make_bar_pair(t.right, s_profile[2]) is not None
+            raise RejectError("no admissibility relation between %s and %s"
+                              % (type(t).__name__, type(s).__name__))
+
+        return admissible
+
+    return left_of
+
+
 def is_admissible(t, s):
-    """The admissibility relation T < S between adjacent components."""
-    if isinstance(t, OspPair):
-        if isinstance(s, (OspPair, SpinColumn, BarPair)):
-            return _admissible_nonbar(t, _adm_profile(s), _right_star,
-                                      _right_lr)
-    elif isinstance(t, BarPair):
-        # (T^R, S^L) is a member of the barred class
-        if isinstance(s, BarPair):
-            return try_make_bar_pair(t.right, s.left) is not None
-        if isinstance(s, SpinColumn) and s.sign == "-":
-            return try_make_bar_pair(t.right, s.col) is not None
-    raise RejectError("no admissibility relation between %s and %s"
-                      % (type(t).__name__, type(s).__name__))
-
-
-def _sigma_in_shape(u, v, aa, bb):
-    """sigma(u, v) == (aa - p, bb - p) for some 0 <= p <= min(aa, bb)."""
-    sig = sigma_pair(u, v)
-    p = aa - sig.p
-    return 0 <= p <= min(aa, bb) and sig == Signature(aa - p, bb - p)
+    """The admissibility relation T < S between adjacent components; each
+    call computes the splits afresh."""
+    return tabled_admissibility()(s)(t)
 
 
 def is_admissible_sigma(t, s):
@@ -411,7 +428,10 @@ def is_admissible_sigma(t, s):
     y_col = s_lstar if r_s == r_t == 1 else s_l
     aa = t.a - a_p + eps
     bb = aa + len(y_col) - len(rt)
-    return bb >= 0 and _sigma_in_shape(rt, y_col, aa, bb)
+    # sigma(RT, Y) == (aa - p, bb - p) for some 0 <= p <= min(aa, bb)
+    sig = sigma_pair(rt, y_col)
+    p = aa - sig.p
+    return bb >= 0 and 0 <= p <= min(aa, bb) and sig.q == bb - p
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +559,13 @@ def all_columns(alphabet, height):
     return out
 
 
-def _columns_by_height(alphabet, max_height):
-    return {h: all_columns(alphabet, h) for h in range(max_height + 1)}
+def column_count(alphabet, max_height):
+    """How many columns :func:`all_columns` makes over the heights up to
+    max_height: j distinct even letters above a multiset of odd ones."""
+    even = alphabet.m if alphabet.kind == "super" else alphabet.size
+    odd = alphabet.size - even
+    return sum(comb(even, j) * comb(odd + max_height - j, odd)
+               for j in range(min(even, max_height) + 1))
 
 
 def spin_columns(alphabet, sign, budget):
@@ -555,7 +580,7 @@ def osp_pairs(alphabet, a, budget, bar=False):
     """All members of the a-pair class (or the barred class) within budget."""
     out = []
     max_h = budget if alphabet.kind == "super" else alphabet.size
-    cols = _columns_by_height(alphabet, min(max_h, budget))
+    cols = {h: all_columns(alphabet, h) for h in range(min(max_h, budget) + 1)}
     if bar:
         shapes = ((0, b, c + 1) for c in range(0, budget, 2)
                   for b in range(0, budget + 1, 2))
@@ -581,19 +606,6 @@ def _part_sort_key(part):
             isinstance(part, BarPair))
 
 
-class _Table(dict):
-    """The values of ``fn``, each computed on its first lookup; made by
-    :func:`enumerate_tableaux` for the length of one call."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def enumerate_tableaux(plan, alphabet, max_boxes=None):
     """Every tableau of the plan with at most max_boxes boxes, exactly once,
     in a deterministic order.
@@ -615,6 +627,7 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
 
     # every candidate's sort key (box count first), profile and splits are
     # computed once per call and then looked up
+    left_of = tabled_admissibility()
     key = {}
     candidates = []
     for kind, param in kinds:
@@ -627,10 +640,6 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
             cands = spin_columns(alphabet, param, budget)
         key.update((part, _part_sort_key(part)) for part in cands)
         candidates.append(sorted(cands, key=key.__getitem__))
-    profile = _Table(_adm_profile)
-    right_star = _Table(_right_star).__getitem__
-    right_lr = _Table(_right_lr).__getitem__
-
     results = []
 
     def extend(idx, chosen, used):
@@ -639,21 +648,13 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
             parts = tuple(reversed(chosen))
             results.append(((used, tuple(key[p] for p in parts)), parts))
             return
-        if chosen:
-            right = chosen[-1]
-            right_profile = profile[right]
+        admissible = left_of(chosen[-1]) if chosen else None
         for part in candidates[idx]:
             size = used + key[part][0]
             if size > max_boxes:
                 break
-            if chosen:
-                if isinstance(part, OspPair):
-                    ok = _admissible_nonbar(part, right_profile, right_star,
-                                            right_lr)
-                else:
-                    ok = is_admissible(part, right)
-                if not ok:
-                    continue
+            if chosen and not admissible(part):
+                continue
             chosen.append(part)
             extend(idx - 1, chosen, size)
             chosen.pop()

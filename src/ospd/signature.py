@@ -40,6 +40,16 @@ def survivors(symbols):
     return minus, stack
 
 
+def acted_on(symbols, op, k=1):
+    """Indices the k-th power of raising (op 'e') or lowering ('f') acts on,
+    or None: one reduction, then the k rightmost surviving minuses or the k
+    leftmost surviving pluses, since a step flips the survivor next to the
+    other sign and no other (Kashiwara's tensor product rule)."""
+    minus, plus = survivors(symbols)
+    hit = minus[len(minus) - k:] if op == "e" else plus[:k]
+    return hit if len(hit) == k else None
+
+
 def signature_of(symbols):
     minus, plus = survivors(symbols)
     return Signature(len(minus), len(plus))
@@ -158,27 +168,24 @@ def sigma_tableau(q_cols, i):
     return sigma_word(word, i)
 
 
-def _tableau_replace(q_cols, cell, value):
-    i, j = cell
+def _tableau_power(q_cols, i, op, k):
+    if not k:
+        return q_cols
+    pairs = tableau_word(q_cols)
+    hit = acted_on(_word_symbols([e for _, e in pairs], i), op, k)
+    if hit is None:
+        return None
     cols = [list(c) for c in q_cols]
-    cols[j][i] = value
+    for idx in hit:
+        (row, j), _ = pairs[idx]
+        cols[j][row] = i if op == "e" else i + 1
     return tuple(tuple(c) for c in cols)
 
 
-def gl_e_tableau(q_cols, i):
-    pairs = tableau_word(q_cols)
-    minus, _ = survivors(_word_symbols([e for _, e in pairs], i))
-    if not minus:
-        return None
-    cell, _ = pairs[minus[-1]]
-    return _tableau_replace(q_cols, cell, i)
+def gl_e_tableau(q_cols, i, k=1):
+    """The k-th raising power at color i of a recording tableau, or None."""
+    return _tableau_power(q_cols, i, "e", k)
 
 
-def gl_f_tableau(q_cols, i):
-    pairs = tableau_word(q_cols)
-    _, plus = survivors(_word_symbols([e for _, e in pairs], i))
-    if not plus:
-        return None
-    cell, _ = pairs[plus[0]]
-    return _tableau_replace(q_cols, cell, i + 1)
-
+def gl_f_tableau(q_cols, i, k=1):
+    return _tableau_power(q_cols, i, "f", k)

@@ -127,7 +127,7 @@ FAULTS = {
     "height-clause-strict": Fault(
         height_clause_strict,
         ("worked-examples", "classical-crystal-D3-(1,)-3",
-         "classical-crystal-D3-(2,)-3"),
+         "classical-crystal-D3-(2,)-3", "split-lemma-suites"),
         (SIGMA_ORACLE, INVERSE_ORACLE)),
     "colour-0-on-last-factor": Fault(
         colour0_last_factor,

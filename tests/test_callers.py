@@ -5,7 +5,9 @@ anywhere in ``src/ospd/*.py`` or ``demos/*.py`` outside the definition's
 own body; ``__init__.py`` only re-exports and is not scanned.
 
 The library also holds no module state that code rewrites: no ``setattr``
-call and no ``global`` statement anywhere in ``src/ospd``.
+call and no ``global`` statement anywhere in ``src/ospd``, and no memo that
+outlives a call: no ``functools.lru_cache``, ``cache`` or
+``cached_property``, whose tables would be shared by every caller.
 """
 
 import ast
@@ -19,7 +21,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ALLOWED = {
     # reference oracles that the tests compare the library against
     "is_admissible_sigma", "valid_slide_offsets", "k_set_via_inverse",
-    "k_from_character",
+    "k_from_character", "gl_f_matrix",
     # readers of what the CLI writes: tableaux, and colour names in the
     # graph JSON
     "tuple_from_json", "parse_root_index",
@@ -76,3 +78,21 @@ def test_library_rewrites_no_module_state():
                     and node.func.id == "setattr"):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, "setattr or global in src/ospd: %s" % found
+
+
+def test_library_keeps_no_process_wide_memo():
+    memos = {"lru_cache", "cache", "cached_property"}
+    found = []
+    for path in sorted((ROOT / "src" / "ospd").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = {node.attr}
+            else:
+                continue
+            if names & memos:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, "functools memo in src/ospd: %s" % found

@@ -197,6 +197,12 @@ MISSING = "<missing directory>"  # replaced by one under tmp_path
     (("enumerate", "-m", "1000", "--lambda", "0", "--ell", "1"),
      "rank 1000 is above 100"),
     (("dims", "-m", "400"), "rank 400 is above 100"),
+    (("enumerate", "-m", "100", "--lambda", "0", "--ell", "1",
+      "--max-boxes", "6"), "lower --max-boxes"),
+    (("graph", "-m", "40", "--lambda", "0", "--ell", "1", "--max-boxes", "4"),
+     "102091 columns"),
+    (("char", "--family", "super", "-m", "2", "-n", "30", "--lambda", "0",
+      "--ell", "1", "--max-boxes", "6"), "lower --max-boxes"),
 ])
 def test_usage_errors_exit_2(args, message, tmp_path):
     missing = str(tmp_path / "missing")
@@ -239,11 +245,6 @@ def faulted_verify():
     its exit code, its report, and whether the run rebound any name of
     ``osptab`` itself (it must not: the fault lives in the test)."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        # split-lemma-suites samples admissible pairs by rejection; under a
-        # strict height bound it spends its 2 * 10^6 draws, minutes in all
-        checks = cli._verify_checks
-        monkeypatch.setattr(cli, "_verify_checks", lambda seed: [
-            c for c in checks(seed) if c[0] != "split-lemma-suites"])
         FAULTS["height-clause-strict"].apply(monkeypatch)
         before = dict(vars(osptab))
         out = StringIO()
@@ -257,9 +258,10 @@ def test_verify_mutation_fails_with_named_check(faulted_verify):
     code, report, _ = faulted_verify
     assert code == 1
     failing = [c["name"] for c in report["checks"] if not c["ok"]]
-    # the pair-spin plans test admissibility inside an enumeration
-    assert {"classical-crystal-D3-(1,)-3",
-            "classical-crystal-D3-(2,)-3"} <= set(failing)
+    # the pair-spin plans test admissibility inside an enumeration, and the
+    # admissibility suite stops at its first failure
+    assert {"classical-crystal-D3-(1,)-3", "classical-crystal-D3-(2,)-3",
+            "split-lemma-suites"} <= set(failing)
 
 
 def test_verify_mutation_does_not_outlive_the_battery(faulted_verify):

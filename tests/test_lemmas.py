@@ -12,6 +12,7 @@ from ospd.alphabet import simple_root_indices
 from ospd.osptab import classify_pair
 
 from conftest import letters
+from faults import FAULTS
 
 
 # members swept and instances per clause; each count is at least the number
@@ -53,12 +54,28 @@ def test_split_suite_fails_on_a_swapped_split(monkeypatch, split, broken):
     assert {"%s%d" % f["clause"] for f in report["failures"]} == broken
 
 
+# draws the suite makes at seed 12 and per_case=100 before all seven buckets
+# hold 100 instances; any change to the draw sequence moves them
+SUITE_ATTEMPTS = {"classical": 7462, "super": 74045}
+
+
 def test_admissibility_suite_small_counts():
-    for kind in ("classical", "super"):
-        A = make_alphabet(kind, 4, 2)
-        report = run_admissibility_suite(A, per_case=100, seed=12)
+    for kind, attempts in SUITE_ATTEMPTS.items():
+        report = run_admissibility_suite(make_alphabet(kind, 4, 2),
+                                         per_case=100, seed=12)
         assert report["complete"], report["counts"]
         assert report["ok"], report["failures"][:1]
+        assert report["attempts"] == attempts
+        assert report["counts"] == {case: 100 for case in (
+            "T1L", "T1R", "T1bar", "T1sp", "T2L", "T2R", "T2bar")}
+
+
+def test_admissibility_suite_stops_at_its_first_failure(monkeypatch):
+    FAULTS["height-clause-strict"].apply(monkeypatch)
+    report = run_admissibility_suite(make_alphabet("super", 4, 2),
+                                     per_case=100, seed=12)
+    assert not report["ok"] and len(report["failures"]) == 1
+    assert report["attempts"] < lemmas.MAX_ATTEMPTS
 
 
 def test_clause_evaluation_on_a_known_instance(cl40):

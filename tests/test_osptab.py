@@ -8,10 +8,11 @@ from ospd import (classify_pair, enumerate_tableaux, is_admissible,
                   lr_split, make_alphabet, shape_plan, star_split, validate,
                   weyl_dim_D)
 from ospd.osptab import (OspPair, OspTableauD, RejectError, SpinColumn,
-                         all_columns, highest_weight_tuple,
-                         is_admissible_sigma, lr_split_sliding, osp_pairs,
-                         part_from_cols, star_split_sliding, try_classify_pair,
-                         tuple_from_json, tuple_to_json, valid_slide_offsets)
+                         all_columns, column_count, highest_weight_tuple,
+                         is_admissible_sigma, lr_split_sliding, make_bar_pair,
+                         osp_pairs, part_from_cols, star_split_sliding,
+                         try_classify_pair, tuple_from_json, tuple_to_json,
+                         valid_slide_offsets)
 from ospd.signature import sigma_pair
 
 from conftest import letters
@@ -129,6 +130,36 @@ def test_star_then_raise_is_identity(rng):
     assert done >= 500
 
 
+def test_one_pass_splits_match_single_operator_steps():
+    # every member with a <= 4 at 8 boxes: the one-reduction splits equal
+    # a - r single raisings, and one lowering, of the matrix (T^R, T^L)
+    from ospd.signature import gl_e_matrix, gl_f_matrix
+    from ospd.tableau import make_matrix
+    swept = stars = 0
+    for kind in ("classical", "super"):
+        A = make_alphabet(kind, 4, 2)
+        for t in (t for a in range(5) for t in osp_pairs(A, a, 8)):
+            m = make_matrix((t.right, t.left))
+            for _ in range(t.a - t.residue):
+                m = gl_e_matrix(m, 1)
+            assert lr_split(t) == (m.cols[1], m.cols[0])
+            swept += 1
+            if t.residue == 1:
+                m = gl_f_matrix(make_matrix((t.right, t.left)), 1)
+                assert star_split(t) == (m.cols[1], m.cols[0])
+                stars += 1
+    assert (swept, stars) == (12176, 4842)
+
+
+def test_column_count_is_the_number_of_columns():
+    for kind, m, n in (("classical", 4, 2), ("super", 4, 2), ("super", 2, 0)):
+        A = make_alphabet(kind, m, n)
+        built = 0
+        for h in range(9):
+            built += len(all_columns(A, h))
+            assert column_count(A, h) == built
+
+
 def test_admissibility_worked_examples(worked):
     _, T, S1, S2 = worked
     assert is_admissible(T, S1)
@@ -140,6 +171,15 @@ def test_admissibility_height_violation(cl40):
     s = SpinColumn(())
     # ht(T^R) = 2 > ht(S^L) - a' + 2 r r' = 0
     assert not is_admissible(t, s)
+
+
+def test_admissibility_refuses_kinds_without_a_relation(cl40):
+    pair = classify_pair(letters(cl40, "b4", "b3"), letters(cl40, "b4", "b3"), 0)
+    bar = make_bar_pair(letters(cl40, "b4"), letters(cl40, "b4"))
+    for t, s in [(bar, pair), (bar, SpinColumn(())), (SpinColumn(()), pair),
+                 (pair, "not a component")]:
+        with pytest.raises(RejectError):
+            is_admissible(t, s)
 
 
 def test_admissibility_sigma_form_agrees(rng):

@@ -125,19 +125,22 @@ def test_gl_f_then_e_identity(rng, sup22):
 
 
 def test_rsk_is_bicrystal_morphism(rng, sup22):
+    # k single steps on the matrix move Q as one k-th power on the tableau
     for _ in range(300):
         m = random_matrix(rng, sup22, 3, 8)
         p, q = rsk(m)
         for i in (1, 2):
             for op, qop in ((gl_e_matrix, gl_e_tableau),
                             (gl_f_matrix, gl_f_tableau)):
-                moved = op(m, i)
-                if moved is None:
-                    assert qop(q, i) is None
-                    continue
-                p2, q2 = rsk(moved)
-                assert p2 == p
-                assert q2 == qop(q, i)
+                moved = m
+                for k in (1, 2, 3):
+                    moved = op(moved, i)
+                    if moved is None:
+                        assert qop(q, i, k) is None
+                        break
+                    p2, q2 = rsk(moved)
+                    assert p2 == p
+                    assert q2 == qop(q, i, k)
 
 
 def test_dispatch():
