@@ -250,6 +250,7 @@ class CrystalGraph:
     truncated: list = field(default_factory=list)   # (src, color name)
     sources: list = field(default_factory=list)
     components: int = 0
+    raised: list = field(default_factory=list)      # [color][src]: dst or None
 
     def index(self):
         return {t: i for i, t in enumerate(self.vertices)}
@@ -258,15 +259,19 @@ class CrystalGraph:
 def explore(plan, alphabet, family, max_boxes=None):
     """Build the colored graph on the enumerated set, checking closure.
 
-    Every raising image must stay inside the set; lowering images may leave
-    it only through the box bound of a super run, and such edges are recorded
-    as truncated rather than followed.
+    A plan's vertices fill the same slots, so the engine acts on their
+    matrix columns and finds each image by its columns.  An image missing
+    from the set is rebuilt by :func:`e_osp`/:func:`f_osp`, which raise when
+    a component leaves its class.  Raising images must stay inside the set
+    and are kept in ``raised``; lowering images may leave it only through
+    the box bound of a super run, as truncated edges that are not followed.
     """
     vertices = enumerate_tableaux(plan, alphabet, max_boxes)
-    graph = CrystalGraph(alphabet, family, plan, max_boxes, vertices,
-                         [tuple_weight(alphabet, t) for t in vertices])
-    index = graph.index()
+    graph = CrystalGraph(alphabet, family, plan, max_boxes, vertices, [])
+    cols = [parts_cols(t.parts) for t in vertices]
+    index = {c: i for i, c in enumerate(cols)}
     colors = simple_root_indices(alphabet)
+    graph.raised = [[None] * len(vertices) for _ in colors]
     parent = list(range(len(vertices)))
 
     def find(x):
@@ -275,48 +280,47 @@ def explore(plan, alphabet, family, max_boxes=None):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     for src, tt in enumerate(vertices):
-        is_source = True
-        for color in colors:
-            up = e_osp(alphabet, family, color, tt)
+        for color, raised in zip(colors, graph.raised):
+            up = _cols_op(alphabet, family, color, cols[src], "e")
             if up is not None:
-                is_source = False
-                if up not in index:
+                raised[src] = index.get(up)
+                if raised[src] is None:
+                    e_osp(alphabet, family, color, tt)
                     raise CrystalError("raising left the enumerated set at "
                                        "vertex %d color %s" % (src, color.name))
-            down = f_osp(alphabet, family, color, tt)
+            down = _cols_op(alphabet, family, color, cols[src], "f")
             if down is None:
                 continue
-            if down not in index:
-                if max_boxes is not None and down.boxes() > max_boxes:
-                    graph.truncated.append((src, color.name))
-                    continue
-                raise CrystalError("lowering left the enumerated set at "
-                                   "vertex %d color %s" % (src, color.name))
-            dst = index[down]
+            dst = index.get(down)
+            if dst is None:
+                down = f_osp(alphabet, family, color, tt)
+                if max_boxes is None or down.boxes() <= max_boxes:
+                    raise CrystalError("lowering left the enumerated set at "
+                                       "vertex %d color %s" % (src, color.name))
+                graph.truncated.append((src, color.name))
+                continue
             graph.edges.append((src, color.name, dst))
-            union(src, dst)
-        if is_source:
+            parent[find(src)] = find(dst)
+        if all(raised[src] is None for raised in graph.raised):
             graph.sources.append(src)
-    graph.components = len({find(x) for x in range(len(vertices))}) \
-        if vertices else 0
+    graph.components = len({find(x) for x in range(len(vertices))})
+    del cols, index  # freed before the weights are built: a lower peak
+    graph.weights = [tuple_weight(alphabet, t) for t in vertices]
     return graph
 
 
 def check_axioms(graph):
-    """Edge-local crystal axioms; returns the list of violations."""
-    alphabet, family = graph.alphabet, graph.family
-    colors = {c.name: c for c in simple_root_indices(alphabet)}
+    """Edge-local crystal axioms; returns the list of violations.  Raising
+    undoes every edge, read from the raising images ``explore`` recorded,
+    and every edge lowers the weight by its simple root."""
+    alphabet = graph.alphabet
+    colors = {c.name: (c, raised) for c, raised
+              in zip(simple_root_indices(alphabet), graph.raised)}
     bad = []
     for src, cname, dst in graph.edges:
-        color = colors[cname]
-        back = e_osp(alphabet, family, color, graph.vertices[dst])
-        if back != graph.vertices[src]:
+        color, raised = colors[cname]
+        if raised[dst] != src:
             bad.append(("inverse", src, cname, dst))
         root = simple_root_delta(alphabet, color)
         want = graph.weights[src].sub(Weight(0, root.counts))

@@ -297,15 +297,16 @@ def star_split_sliding(pair):
 # ---------------------------------------------------------------------------
 # admissibility
 
-def _adm_profile(s):
-    """(a', r, S^L, LS, S^Lstar, is_spin_minus) of the right-hand member; a
-    barred pair is read as the spin column of its left column."""
+def _adm_profile(s, share):
+    """(a', r, S^L, LS, S^Lstar, is_spin_minus) of the right-hand member, with
+    the split columns passed through ``share``; a barred pair is read as the
+    spin column of its left column."""
     if isinstance(s, BarPair):
         s = SpinColumn(s.left)
     if isinstance(s, SpinColumn):
         return (s.residue, s.residue, s.col, s.col, s.col, s.sign == "-")
-    ls, _ = lr_split(s)
-    lstar = star_split(s)[0] if s.residue == 1 else None
+    ls = share(lr_split(s)[0])
+    lstar = share(star_split(s)[0]) if s.residue == 1 else None
     return (s.a, s.residue, s.left, ls, lstar, False)
 
 
@@ -360,10 +361,13 @@ def tabled_admissibility():
     """The relation T < S as ``left_of(s)``, the predicate ``t -> T < S``.
     S's profile and T's R*T and RT are computed on first use and then looked
     up, in tables that hold only the members asked about and last as long as
-    ``left_of``: one enumeration or one suite run."""
-    profile = _Table(_adm_profile)
-    right_star = _Table(lambda t: star_split(t)[1]).__getitem__
-    right_lr = _Table(lambda t: lr_split(t)[1]).__getitem__
+    ``left_of``: one enumeration or one suite run.  The tables share one
+    copy of each split column."""
+    columns = {}
+    share = lambda col: columns.setdefault(col, col)
+    profile = _Table(lambda s: _adm_profile(s, share))
+    right_star = _Table(lambda t: share(star_split(t)[1])).__getitem__
+    right_lr = _Table(lambda t: share(lr_split(t)[1])).__getitem__
 
     def left_of(s):
         if not isinstance(s, (OspPair, SpinColumn, BarPair)):

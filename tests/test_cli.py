@@ -149,6 +149,31 @@ def test_kcoef_stream_is_pinned(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the graph streams of the README example and of the truncating
+# super plan, in both formats, taken while explore still rebuilt every image
+# and looked it up as a tableau, so that indexing vertices by their matrix
+# columns cannot alter an edge, a source or a truncated edge silently.
+GRAPH_STREAMS = [
+    ("--family classical -m 4 -n 0 --lambda 1,1 --ell 2 --format json",
+     "5ef92f8c5ebb01be9b52f7456397a45e333ad4fb1039a3e6af06af20a1d39284"),
+    ("--family classical -m 4 -n 0 --lambda 1,1 --ell 2 --format dot",
+     "40c32f6a22b439c8616f369a23027d6a759dd822289553d56dabd955a02f8938"),
+    ("--family super -m 2 -n 2 --lambda 0 --ell 1 --max-boxes 4 --format json",
+     "83c2e12ee1e09272b1c23eb9afcced40311521b564a267eb223153fd2e30363b"),
+    ("--family super -m 2 -n 2 --lambda 0 --ell 1 --max-boxes 4 --format dot",
+     "d975cc814daf4e6724fbe4e2cd441e42b71d9544f6e76c93dff3231dd871f8f9"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GRAPH_STREAMS,
+                         ids=["D4-11-2-json", "D4-11-2-dot", "super22-0-1-json",
+                              "super22-0-1-dot"])
+def test_graph_stream_is_pinned(args, digest):
+    code, out, _ = run_cli("graph", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_dims():
     code, out, _ = run_cli("dims", "--family", "classical", "-m", "4", "-n", "0",
                            "--lambda", "0", "--ell", "1")

@@ -1,11 +1,11 @@
 import pytest
 
-from ospd import make_alphabet, shape_plan
+from ospd import crystal, make_alphabet, shape_plan
 from ospd.alphabet import parse_root_index, simple_root_delta, simple_root_indices
-from ospd.crystal import (_cols_op, _parts_op, check_axioms, e_osp, e_pair_bar,
-                          explore, f_osp, f_reachable, graph_to_dot,
-                          graph_to_json, is_genuine_highest, letter_e,
-                          letter_f, plan_weight, tuple_weight)
+from ospd.crystal import (CrystalError, _cols_op, _parts_op, check_axioms,
+                          e_osp, e_pair_bar, explore, f_osp, f_reachable,
+                          graph_to_dot, graph_to_json, is_genuine_highest,
+                          letter_e, letter_f, plan_weight, tuple_weight)
 from ospd.osptab import (SpinColumn, classify_pair, enumerate_tableaux,
                          highest_weight_tuple, osp_pairs, part_cols,
                          part_from_cols, slot_of)
@@ -186,6 +186,15 @@ def test_check_axioms_reports_broken_edges(cl40):
     bad = check_axioms(g)
     assert ("weight", s1, color, d1) in bad
     assert all(kind == "weight" for kind, *_ in bad)
+    # on a fresh graph, forget one recorded raising image: exactly the edges
+    # of that colour into that vertex break the inverse axiom
+    g = explore(shape_plan((1,), 2, cl40), cl40, "classical")
+    k = [c.name for c in simple_root_indices(cl40)].index(color)
+    g.raised[k][d1] = None
+    bad = check_axioms(g)
+    assert bad == [("inverse", s, c, d) for s, c, d in g.edges
+                   if (c, d) == (color, d1)]
+    assert len(bad) == 1
 
 
 def test_closure_random_applications(rng, sup22):
@@ -301,3 +310,48 @@ def string_length(op, A, color, t):
     while (t := op(A, "classical", color, t)) is not None:
         n += 1
     return n
+
+
+@pytest.mark.parametrize("kind,m,n,lam,ell,bound", [
+    ("classical", 4, 0, (1, 1), 2, None), ("classical", 4, 0, (2,), 2, None),
+    ("super", 2, 2, (1,), 2, 8), ("super", 3, 2, (2,), 2, 8)])
+def test_column_graph_agrees_with_the_public_operators(kind, m, n, lam, ell,
+                                                       bound):
+    # explore finds images by their matrix columns; the public operators
+    # rebuild every image and look it up as a tableau
+    A = make_alphabet(kind, m, n)
+    g = explore(shape_plan(lam, ell, A), A, kind, bound)
+    index = g.index()
+    edges, truncated = set(), set()
+    for v, t in enumerate(g.vertices):
+        for color, raised in zip(simple_root_indices(A), g.raised):
+            up = e_osp(A, kind, color, t)
+            assert raised[v] == (None if up is None else index[up])
+            down = f_osp(A, kind, color, t)
+            if down in index:
+                edges.add((v, color.name, index[down]))
+            elif down is not None:
+                assert down.boxes() > bound
+                truncated.add((v, color.name))
+    assert set(g.edges) == edges and len(g.edges) == len(edges)
+    assert set(g.truncated) == truncated
+    assert bool(truncated) == (kind == "super")
+
+
+@pytest.mark.parametrize("kind,bound", [("classical", None), ("super", 8)])
+@pytest.mark.parametrize("source", [False, True])
+def test_explore_enforces_closure(monkeypatch, kind, bound, source):
+    # drop one vertex: the image that led to it must now leave the
+    # enumerated set; a dropped source is left only by raising
+    A = make_alphabet(kind, 2, 2)
+    plan = shape_plan((1, 1), 2, A)
+    g = explore(plan, A, kind, bound)
+    drop = next(v for v in range(len(g.vertices) - 1, -1, -1)
+                if (v in g.sources) == source)
+    monkeypatch.setattr(
+        crystal, "enumerate_tableaux",
+        lambda *args: [t for t in enumerate_tableaux(*args)
+                       if t != g.vertices[drop]])
+    match = "raising left" if source else "left the enumerated set"
+    with pytest.raises(CrystalError, match=match):
+        explore(plan, A, kind, bound)
