@@ -9,9 +9,10 @@ coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .osptab import (RejectError, enumerate_tableaux, matrix_to_tuple,
-                     tuple_to_matrix)
+                     part_letters, tuple_to_matrix)
 from .signature import Signature, gl_e_tableau, gl_f_tableau, sigma_tableau
 from .tableau import (conjugate, inverse_rsk, is_partition, letters_weight,
                       row_pair_ok, rsk, straight_is_semistandard)
@@ -91,18 +92,16 @@ def enumerate_ssyt(mu, alphabet):
         raise RejectError("mu must be a partition")
     heights = conjugate(mu)
     from .osptab import all_columns
+    columns = {h: all_columns(alphabet, h) for h in set(heights)}
     results = []
 
     def extend(j, cols):
         if j == len(heights):
             results.append(tuple(cols))
             return
-        for col in all_columns(alphabet, heights[j]):
-            if cols:
-                prev = cols[-1]
-                if any(not row_pair_ok(prev[i], col[i])
-                       for i in range(len(col))):
-                    continue
+        for col in columns[heights[j]]:
+            if cols and not all(map(row_pair_ok, cols[-1], col)):
+                continue
             cols.append(col)
             extend(j + 1, cols)
             cols.pop()
@@ -123,19 +122,31 @@ def super_schur(mu, alphabet, max_degree=None):
         if max_degree < size:
             raise RejectError("max_degree below |mu|")
     poly = CharPoly()
+    weight = {}  # each column's exponents, computed once per call
     for cols in enumerate_ssyt(mu, alphabet):
-        letters = [a for col in cols for a in col]
-        poly.add_term(0, _content_exps(alphabet, letters))
+        exps = [0] * alphabet.size
+        for col in cols:
+            if col not in weight:
+                weight[col] = _content_exps(alphabet, col)
+            exps = map(add, exps, weight[col])
+        poly.add_term(0, exps)
     return poly
 
 
 def s_character(plan, alphabet, max_boxes=None):
     """The weight generating function of the tableaux of the plan, with the
-    level recorded in the z variable."""
-    poly = CharPoly()
+    level recorded in the z variable.  A tableau's exponents are the sum of
+    its components', and each component is weighed once per call."""
+    weight = {}
+    terms = {}
     for t in enumerate_tableaux(plan, alphabet, max_boxes):
-        poly.add_term(plan.ell, _content_exps(alphabet, t.letters()))
-    return poly
+        for part in t.parts:
+            if part not in weight:
+                weight[part] = _content_exps(alphabet, part_letters(part))
+        key = (plan.ell, tuple(map(sum, zip(*map(weight.__getitem__,
+                                                  t.parts)))))
+        terms[key] = terms.get(key, 0) + 1
+    return CharPoly(terms)
 
 
 # ---------------------------------------------------------------------------

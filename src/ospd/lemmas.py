@@ -188,7 +188,7 @@ def run_admissibility_suite(alphabet, per_case=2000, seed=2):
     through tables local to the run, each raised pair is checked by the
     public relation, and the run stops at its first failure."""
     rng = random.Random(seed)
-    left_of = tabled_admissibility()
+    left_of, _ = tabled_admissibility()
     spin = simple_root_indices(alphabet)[0]
     budget = ADMISSIBLE_BUDGET
     pools = [sorted(osp_pairs(alphabet, a, budget + a))

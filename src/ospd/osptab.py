@@ -358,11 +358,13 @@ class _Table(dict):
 
 
 def tabled_admissibility():
-    """The relation T < S as ``left_of(s)``, the predicate ``t -> T < S``.
-    S's profile and T's R*T and RT are computed on first use and then looked
-    up, in tables that hold only the members asked about and last as long as
-    ``left_of``: one enumeration or one suite run.  The tables share one
-    copy of each split column."""
+    """The relation T < S as ``left_of(s)``, the predicate ``t -> T < S``,
+    and ``left_key(t)``, all that the predicate reads of T: T's a, residue,
+    T^R, R*T and RT, or T^R alone for a barred T.  S's profile and T's R*T
+    and RT are computed on first use and then looked up, in tables that hold
+    only the members asked about and last as long as ``left_of``: one
+    enumeration or one suite run.  The tables share one copy of each split
+    column."""
     columns = {}
     share = lambda col: columns.setdefault(col, col)
     profile = _Table(lambda s: _adm_profile(s, share))
@@ -385,13 +387,19 @@ def tabled_admissibility():
 
         return admissible
 
-    return left_of
+    def left_key(t):
+        if isinstance(t, BarPair):
+            return t.right
+        return (t.a, t.residue, t.right,
+                right_star(t) if t.residue == 1 else None, right_lr(t))
+
+    return left_of, left_key
 
 
 def is_admissible(t, s):
     """The admissibility relation T < S between adjacent components; each
     call computes the splits afresh."""
-    return tabled_admissibility()(s)(t)
+    return tabled_admissibility()[0](s)(t)
 
 
 def is_admissible_sigma(t, s):
@@ -612,8 +620,12 @@ def _part_sort_key(part):
 
 def enumerate_tableaux(plan, alphabet, max_boxes=None):
     """Every tableau of the plan with at most max_boxes boxes, exactly once,
-    in a deterministic order.
+    ordered by box count, then by each component's rank in its slot's
+    candidates, which are sorted by box count and letters.
 
+    Built from the last slot to the first.  The candidates of a slot with a
+    right neighbour are grouped by their left key, what admissibility reads
+    of them, so T < S is decided once per group and right neighbour S.
     Classical alphabets are intrinsically finite and may omit the bound;
     super alphabets require one.
     """
@@ -629,12 +641,12 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
     if floor > max_boxes:
         return []
 
-    # every candidate's sort key (box count first), profile and splits are
-    # computed once per call and then looked up
-    left_of = tabled_admissibility()
-    key = {}
-    candidates = []
-    for kind, param in kinds:
+    # each slot is a list of groups of (rank, boxes, part), in the order of
+    # their first members; profiles and splits are looked up in tables local
+    # to the call
+    left_of, left_key = tabled_admissibility()
+    slots = []
+    for idx, (kind, param) in enumerate(kinds):
         budget = max_boxes - (floor - _slot_floor(kind, param))
         if kind == "pair":
             cands = osp_pairs(alphabet, param, budget)
@@ -642,28 +654,37 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
             cands = osp_pairs(alphabet, 0, budget, bar=True)
         else:
             cands = spin_columns(alphabet, param, budget)
-        key.update((part, _part_sort_key(part)) for part in cands)
-        candidates.append(sorted(cands, key=key.__getitem__))
+        cands.sort(key=_part_sort_key)
+        last = idx == len(kinds) - 1
+        groups = {}
+        for rank, part in enumerate(cands):
+            groups.setdefault(None if last else left_key(part), []).append(
+                (rank, part.boxes(), part))
+        slots.append(list(groups.values()))
     results = []
 
-    def extend(idx, chosen, used):
-        # build right to left: idx counts from the last slot backwards
-        if idx < 0:
-            parts = tuple(reversed(chosen))
-            results.append(((used, tuple(key[p] for p in parts)), parts))
-            return
+    def extend(idx, chosen, ranks, used):
+        # idx counts from the last slot backwards; slot 0 completes a tuple
         admissible = left_of(chosen[-1]) if chosen else None
-        for part in candidates[idx]:
-            size = used + key[part][0]
-            if size > max_boxes:
+        for group in slots[idx]:
+            if used + group[0][1] > max_boxes:
                 break
-            if chosen and not admissible(part):
+            if chosen and not admissible(group[0][2]):
                 continue
-            chosen.append(part)
-            extend(idx - 1, chosen, size)
-            chosen.pop()
+            for rank, boxes, part in group:
+                if used + boxes > max_boxes:
+                    break
+                if idx == 0:
+                    results.append(((used + boxes, rank, *reversed(ranks)),
+                                    (part, *reversed(chosen))))
+                    continue
+                chosen.append(part)
+                ranks.append(rank)
+                extend(idx - 1, chosen, ranks, used + boxes)
+                chosen.pop()
+                ranks.pop()
 
-    extend(len(kinds) - 1, [], 0)
+    extend(len(kinds) - 1, [], [], 0)
     del extend  # the recursive closure is a cycle that would keep the tables
     results.sort(key=lambda result: result[0])
     return [OspTableauD(parts, plan) for _, parts in results]

@@ -174,6 +174,32 @@ def test_graph_stream_is_pinned(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of char streams, taken while enumeration still tested every pair of
+# components and the character rebuilt every tableau's letters, so that
+# grouping left members and weighing each component once cannot alter a
+# coefficient silently: the README plan, a super pair-bar plan, and a
+# classical and a super pair-spin plan.
+CHAR_STREAMS = [
+    ("--family classical -m 4 -n 0 --lambda 1,1 --ell 2",
+     "29135f2497ace8c1b8505b9e35c3ac67228d692aa210c614efbc313902b3413d"),
+    ("--family super -m 2 -n 2 --lambda 3 --ell 4 --max-boxes 7",
+     "89a1ab3e693af70e6e2228ec1d637a6fa284d208de13f43a9eee70ae91d4de25"),
+    ("--family classical -m 5 -n 0 --lambda 2 --ell 3",
+     "579dff2e7131a26b22649d09066a289d3d3fb712333a4d469ecd985c0e760249"),
+    ("--family super -m 2 -n 1 --lambda 1,1 --ell 3 --max-boxes 7",
+     "83136a20c78b203147811c505927dbccd1c1f77d01533eabf68764bd6974cc27"),
+]
+
+
+@pytest.mark.parametrize("args,digest", CHAR_STREAMS,
+                         ids=["D4-11-2", "super22-3-4", "D5-2-3",
+                              "super21-11-3"])
+def test_char_stream_is_pinned(args, digest):
+    code, out, _ = run_cli("char", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_dims():
     code, out, _ = run_cli("dims", "--family", "classical", "-m", "4", "-n", "0",
                            "--lambda", "0", "--ell", "1")

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -8,11 +9,12 @@ from ospd import (classify_pair, enumerate_tableaux, is_admissible,
                   lr_split, make_alphabet, shape_plan, star_split, validate,
                   weyl_dim_D)
 from ospd.osptab import (OspPair, OspTableauD, RejectError, SpinColumn,
-                         all_columns, column_count, highest_weight_tuple,
+                         _part_sort_key, all_columns, column_count,
+                         expected_kinds, highest_weight_tuple,
                          is_admissible_sigma, lr_split_sliding, make_bar_pair,
-                         osp_pairs, part_from_cols, star_split_sliding,
-                         try_classify_pair, tuple_from_json, tuple_to_json,
-                         valid_slide_offsets)
+                         osp_pairs, part_from_cols, spin_columns,
+                         star_split_sliding, try_classify_pair,
+                         tuple_from_json, tuple_to_json, valid_slide_offsets)
 from ospd.signature import sigma_pair
 
 from conftest import letters
@@ -342,6 +344,63 @@ def test_enumeration_reaches_the_height_clause(cl40, monkeypatch, lam, ell):
     assert len(enumerate_tableaux(plan, cl40)) == dim
     FAULTS["height-clause-strict"].apply(monkeypatch)
     assert len(enumerate_tableaux(plan, cl40)) != dim
+
+
+def _slot_members(A, kind, param, bound):
+    """Every member of a slot's class with at most ``bound`` boxes."""
+    if kind == "spin":
+        return spin_columns(A, param, bound)
+    return osp_pairs(A, param or 0, bound, bar=kind == "bar")
+
+
+def _old_order(t):
+    return (t.boxes(), tuple(_part_sort_key(p) for p in t.parts))
+
+
+# (slots, kind, m, n, lambda, ell, bound)
+BRUTE_PLANS = [
+    ("pair-pair", "super", 2, 2, (2,), 4, 6),
+    ("pair-spin", "super", 2, 2, (1, 1), 3, 7),
+    ("bar-spin", "super", 2, 2, (3,), 3, 8),
+    ("bar-bar", "super", 2, 2, (4,), 4, 8),
+    ("pair-pair-spin", "super", 2, 1, (2,), 5, 6),
+]
+
+
+@pytest.mark.parametrize("slots,kind,m,n,lam,ell,bound", BRUTE_PLANS,
+                         ids=[plan[0] for plan in BRUTE_PLANS])
+def test_enumeration_is_the_filtered_product(slots, kind, m, n, lam, ell,
+                                             bound):
+    # the product of each slot's members within the bound, filtered pair by
+    # pair through the sigma form, which shares no split code with the left
+    # keys that group the enumeration's candidates
+    A = make_alphabet(kind, m, n)
+    plan = shape_plan(lam, ell, A)
+    kinds = expected_kinds(plan)
+    assert "-".join(k for k, _ in kinds) == slots
+    brute = set()
+    for parts in itertools.product(*(_slot_members(A, k, p, bound)
+                                     for k, p in kinds)):
+        if (sum(p.boxes() for p in parts) <= bound
+                and all(map(is_admissible_sigma, parts, parts[1:]))):
+            brute.add(parts)
+    out = enumerate_tableaux(plan, A, bound)
+    assert len(out) == len(brute) > 0
+    assert {t.parts for t in out} == brute
+    assert out == sorted(out, key=_old_order)
+
+
+@pytest.mark.parametrize("kind,m,n,lam,ell,bound", ENUMERATED_PLANS)
+def test_sort_key_is_injective_on_each_slot(kind, m, n, lam, ell, bound):
+    # enumeration orders tuples by the ranks of their components in each
+    # slot's sorted candidates; that is the order of the components' sort
+    # keys only if no two candidates of a slot share one
+    A = make_alphabet(kind, m, n)
+    plan = shape_plan(lam, ell, A)
+    bound = bound or ell * A.size
+    for slot in set(expected_kinds(plan)):
+        keys = [_part_sort_key(p) for p in _slot_members(A, *slot, bound)]
+        assert len(set(keys)) == len(keys) > 0
 
 
 def test_enumerate_super_requires_bound(sup22):
