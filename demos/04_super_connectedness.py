@@ -8,7 +8,8 @@ highest one.  This demo shows both phenomena side by side.
 """
 
 from ospd import make_alphabet, shape_plan, explore
-from ospd.crystal import f_reachable, is_genuine_highest, plan_weight
+from ospd.crystal import (f_reachable, is_genuine_highest, plan_weight,
+                          tuple_weight)
 from ospd.osptab import highest_weight_tuple
 
 A = make_alphabet("super", 2, 2)
@@ -23,7 +24,7 @@ print("connected components:", graph.components)
 print("truncated lowerings at the bound:", len(graph.truncated))
 print("\ndistinguished element:", H.parts)
 print("its weight is Lambda(lambda, ell):",
-      graph.weights[hid] == plan_weight(A, plan))
+      graph.weights[hid] == tuple_weight(A, H) == plan_weight(A, plan))
 
 print("\nraising-frozen vertices:")
 for s in graph.sources:

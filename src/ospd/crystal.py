@@ -28,7 +28,7 @@ from .osptab import (OspTableauD, RejectError, SpinColumn,
                      enumerate_tableaux, highest_ssyt_cols, part_letters,
                      parts_cols, parts_from_columns, slot_of, tuple_to_json,
                      tuple_to_matrix)
-from .signature import acted_on
+from .signature import MINUS, PLUS, survivors
 from .tableau import column_is_valid, letters_weight
 
 
@@ -52,32 +52,12 @@ def letter_f(alphabet, color, a):
     return alphabet.letter(color.chain) if a.rank == color.chain - 1 else None
 
 
-def _letter_sign(color, a):
-    if a.rank == color.chain:
-        return "-"
-    if a.rank == color.chain - 1:
-        return "+"
-    return "."
-
-
 # ---------------------------------------------------------------------------
 # column atoms for the spin color
 
-def spin_e_col(alphabet, col):
-    """Remove the domino (bm, bm-1) from the top, when it is there."""
-    if len(col) >= 2 and col[0].rank == 0 and col[1].rank == 1:
-        return col[2:]
-    return None
-
-
-def spin_f_col(alphabet, col):
-    """Add the domino (bm, bm-1) on top, when the column stays semistandard."""
-    if not col or col[0].rank >= 2:
-        return (alphabet.letter(0), alphabet.letter(1)) + tuple(col)
-    return None
-
-
 def _spin_sign(col):
+    """'-' when the domino (bm, bm-1) sits on top of the column, so that
+    raising can remove it; '+' when lowering can add it on top."""
     if len(col) >= 2 and col[0].rank == 0 and col[1].rank == 1:
         return "-"
     if not col or col[0].rank >= 2:
@@ -88,76 +68,84 @@ def _spin_sign(col):
 # ---------------------------------------------------------------------------
 # the tensor engine
 
-def _apply_letters(alphabet, family, color, seq, op):
-    """Act on a list of letters in tensor order; returns (index, letter)."""
-    if family == "super" and color.odd:
-        # isotropic rule: descend into the rightmost factor whose weight
-        # pairs positively with the coroot, the first factor otherwise
-        ranks = (alphabet.m - 1, alphabet.m)
-        target = None
-        for idx in range(len(seq) - 1, -1, -1):
-            if seq[idx].rank in ranks:
-                target = idx
-                break
-        if target is None:
-            return None
-        a = seq[target]
-        if op == "e":
-            new = alphabet.letter(alphabet.m - 1) if a.rank == alphabet.m else None
-        else:
-            new = alphabet.letter(alphabet.m) if a.rank == alphabet.m - 1 else None
-        return None if new is None else (target, new)
+def _tensor_letters(family, cols):
+    """The (column, row) positions and the ranks of the letters of the matrix
+    columns in tensor order: classical reads them as columns top to bottom,
+    first column to last, super in the reverse order."""
+    positions = [(j, i) for j, col in enumerate(cols) for i in range(len(col))]
+    if family == "super":
+        positions.reverse()
+    return positions, [cols[j][i].rank for j, i in positions]
 
-    upper = family == "super" and color.chain < alphabet.m
-    order = range(len(seq) - 1, -1, -1) if upper else range(len(seq))
-    signs = [_letter_sign(color, seq[i]) for i in order]
-    hit = acted_on(signs, op)
-    if hit is None:
-        return None
-    idx = order[hit[0]]
-    new = letter_e(alphabet, color, seq[idx]) if op == "e" else \
-        letter_f(alphabet, color, seq[idx])
-    if new is None:
-        raise AssertionError("sign rule chose an inert letter")
-    return idx, new
+
+def _apply_letters(alphabet, family, color, ranks):
+    """The tensor positions that raising and lowering move, given the ranks
+    of the letters in tensor order; each None where the operator is
+    undefined.  Raising moves rank c to c - 1, lowering c - 1 to c."""
+    c = color.chain
+    if family == "super" and color.odd:
+        # isotropic rule: both operators descend into the rightmost factor
+        # whose weight pairs with the coroot, and act there or nowhere
+        for k in range(len(ranks) - 1, -1, -1):
+            if ranks[k] == c:
+                return k, None
+            if ranks[k] == c - 1:
+                return None, k
+        return None, None
+    # only ranks c - 1 and c carry a sign; every other letter is a dot
+    at = [k for k, r in enumerate(ranks) if r == c or r == c - 1]
+    if family == "super" and c < alphabet.m:
+        at.reverse()  # the upper rule on barred colours
+    minus, plus = survivors([MINUS if ranks[k] == c else PLUS for k in at])
+    return (at[minus[-1]] if minus else None, at[plus[0]] if plus else None)
+
+
+def _with_letter(alphabet, color, cols, position, op):
+    """The columns with the letter at ``position`` moved by ``op``,
+    :func:`letter_e` or :func:`letter_f`."""
+    j, i = position
+    col = cols[j][:i] + (op(alphabet, color, cols[j][i]),) + cols[j][i + 1:]
+    if not column_is_valid(col):
+        raise AssertionError("letter move broke a column")
+    return cols[:j] + (col,) + cols[j + 1:]
+
+
+def _cols_images(alphabet, family, color, cols, letters):
+    """The raising and the lowering image of the matrix columns
+    m^(1), ..., m^(ell), a tuple, under one colour; each None where the
+    operator is undefined.  Both come from one sign reduction, raising at
+    its rightmost surviving '-' and lowering at its leftmost surviving '+'.
+    ``letters`` is :func:`_tensor_letters` of the columns, which the spin
+    colour does not read."""
+    up = down = None
+    if color.is_spin:
+        # classical: lower rule on the matrix order; super: upper rule on the
+        # reversed order, which is the same computation
+        minus, plus = survivors([_spin_sign(c) for c in cols])
+        if minus:
+            j = minus[-1]
+            up = cols[:j] + (cols[j][2:],) + cols[j + 1:]
+        if plus:
+            j = plus[0]
+            domino = (alphabet.letter(0), alphabet.letter(1))
+            down = cols[:j] + (domino + cols[j],) + cols[j + 1:]
+        return up, down
+    positions, ranks = letters
+    e_at, f_at = _apply_letters(alphabet, family, color, ranks)
+    if e_at is not None:
+        up = _with_letter(alphabet, color, cols, positions[e_at], letter_e)
+    if f_at is not None:
+        down = _with_letter(alphabet, color, cols, positions[f_at], letter_f)
+    return up, down
 
 
 # ---------------------------------------------------------------------------
 # operators on matrix-column lists
 
 def _cols_op(alphabet, family, color, cols, op):
-    """Act on a list of columns given in matrix order m^(1), ..., m^(ell)."""
-    if color.is_spin:
-        # classical: lower rule on the matrix order; super: upper rule on the
-        # reversed order, which is the same computation
-        signs = [_spin_sign(c) for c in cols]
-        hit = acted_on(signs, op)
-        if hit is None:
-            return None
-        new = (spin_e_col if op == "e" else spin_f_col)(alphabet, cols[hit[0]])
-        if new is None:
-            raise AssertionError("sign rule chose an inert column")
-        out = list(cols)
-        out[hit[0]] = new
-        return tuple(out)
-
-    positions = []
-    if family == "classical":
-        for j, col in enumerate(cols):
-            positions.extend((j, i) for i in range(len(col)))
-    else:
-        for j in range(len(cols) - 1, -1, -1):
-            positions.extend((j, i) for i in range(len(cols[j]) - 1, -1, -1))
-    seq = [cols[j][i] for j, i in positions]
-    hit = _apply_letters(alphabet, family, color, seq, op)
-    if hit is None:
-        return None
-    (j, i), new = positions[hit[0]], hit[1]
-    out = [list(c) for c in cols]
-    out[j][i] = new
-    if not column_is_valid(tuple(out[j])):
-        raise AssertionError("letter move broke a column")
-    return tuple(tuple(c) for c in out)
+    """Act on a tuple of columns given in matrix order m^(1), ..., m^(ell)."""
+    letters = None if color.is_spin else _tensor_letters(family, cols)
+    return _cols_images(alphabet, family, color, cols, letters)[op == "f"]
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +248,13 @@ def explore(plan, alphabet, family, max_boxes=None):
     """Build the colored graph on the enumerated set, checking closure.
 
     A plan's vertices fill the same slots, so the engine acts on their
-    matrix columns and finds each image by its columns.  An image missing
+    matrix columns and finds each image by its columns; one sign reduction
+    per vertex and colour gives both images.  An image missing
     from the set is rebuilt by :func:`e_osp`/:func:`f_osp`, which raise when
     a component leaves its class.  Raising images must stay inside the set
     and are kept in ``raised``; lowering images may leave it only through
     the box bound of a super run, as truncated edges that are not followed.
+    Each distinct component is weighed once per call.
     """
     vertices = enumerate_tableaux(plan, alphabet, max_boxes)
     graph = CrystalGraph(alphabet, family, plan, max_boxes, vertices, [])
@@ -281,15 +271,15 @@ def explore(plan, alphabet, family, max_boxes=None):
         return x
 
     for src, tt in enumerate(vertices):
+        letters = _tensor_letters(family, cols[src])
         for color, raised in zip(colors, graph.raised):
-            up = _cols_op(alphabet, family, color, cols[src], "e")
+            up, down = _cols_images(alphabet, family, color, cols[src], letters)
             if up is not None:
                 raised[src] = index.get(up)
                 if raised[src] is None:
                     e_osp(alphabet, family, color, tt)
                     raise CrystalError("raising left the enumerated set at "
                                        "vertex %d color %s" % (src, color.name))
-            down = _cols_op(alphabet, family, color, cols[src], "f")
             if down is None:
                 continue
             dst = index.get(down)
@@ -306,7 +296,11 @@ def explore(plan, alphabet, family, max_boxes=None):
             graph.sources.append(src)
     graph.components = len({find(x) for x in range(len(vertices))})
     del cols, index  # freed before the weights are built: a lower peak
-    graph.weights = [tuple_weight(alphabet, t) for t in vertices]
+    weight = {part: part_weight(alphabet, part)
+              for part in {part for t in vertices for part in t.parts}}
+    zero = zero_weight(alphabet)
+    graph.weights = [sum(map(weight.__getitem__, t.parts), zero)
+                     for t in vertices]
     return graph
 
 
@@ -315,15 +309,16 @@ def check_axioms(graph):
     undoes every edge, read from the raising images ``explore`` recorded,
     and every edge lowers the weight by its simple root."""
     alphabet = graph.alphabet
-    colors = {c.name: (c, raised) for c, raised
-              in zip(simple_root_indices(alphabet), graph.raised)}
+    colors = {c.name: (Weight(0, simple_root_delta(alphabet, c).counts),
+                       raised)
+              for c, raised in zip(simple_root_indices(alphabet),
+                                   graph.raised)}
     bad = []
     for src, cname, dst in graph.edges:
-        color, raised = colors[cname]
+        root, raised = colors[cname]
         if raised[dst] != src:
             bad.append(("inverse", src, cname, dst))
-        root = simple_root_delta(alphabet, color)
-        want = graph.weights[src].sub(Weight(0, root.counts))
+        want = graph.weights[src].sub(root)
         if graph.weights[dst] != want:
             bad.append(("weight", src, cname, dst))
     return bad

@@ -363,13 +363,14 @@ def tabled_admissibility():
     T^R, R*T and RT, or T^R alone for a barred T.  S's profile and T's R*T
     and RT are computed on first use and then looked up, in tables that hold
     only the members asked about and last as long as ``left_of``: one
-    enumeration or one suite run.  The tables share one copy of each split
-    column."""
+    enumeration or one suite run, as is a barred T's test.  The tables share
+    one copy of each split column."""
     columns = {}
     share = lambda col: columns.setdefault(col, col)
     profile = _Table(lambda s: _adm_profile(s, share))
     right_star = _Table(lambda t: share(star_split(t)[1])).__getitem__
     right_lr = _Table(lambda t: share(lr_split(t)[1])).__getitem__
+    barred = _Table(lambda cols: try_make_bar_pair(*cols) is not None)
 
     def left_of(s):
         if not isinstance(s, (OspPair, SpinColumn, BarPair)):
@@ -381,7 +382,7 @@ def tabled_admissibility():
                 return _admissible_nonbar(t, s_profile, right_star, right_lr)
             if isinstance(t, BarPair) and s_profile[5]:
                 # S is barred or a spin- column: (T^R, S^L) is a barred member
-                return try_make_bar_pair(t.right, s_profile[2]) is not None
+                return barred[t.right, s_profile[2]]
             raise RejectError("no admissibility relation between %s and %s"
                               % (type(t).__name__, type(s).__name__))
 

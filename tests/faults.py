@@ -82,11 +82,12 @@ def colour0_last_factor(monkeypatch):
     rightmost one that pairs with its coroot."""
     apply_letters = crystal._apply_letters
 
-    def last(alphabet, family, color, seq, op):
-        if family != "super" or not color.odd or not seq:
-            return apply_letters(alphabet, family, color, seq, op)
-        hit = apply_letters(alphabet, family, color, seq[-1:], op)
-        return None if hit is None else (len(seq) - 1, hit[1])
+    def last(alphabet, family, color, ranks):
+        if family != "super" or not color.odd or not ranks:
+            return apply_letters(alphabet, family, color, ranks)
+        return tuple(None if k is None else len(ranks) - 1
+                     for k in apply_letters(alphabet, family, color,
+                                            ranks[-1:]))
 
     replace(monkeypatch, crystal, "_apply_letters", last)
 

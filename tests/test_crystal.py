@@ -290,8 +290,7 @@ def test_f_reachability_matches_raising(cl40):
 def test_string_lengths_match_signature_counts(rng, cl40):
     # for non-spin colors the operational string statistics equal the
     # surviving sign counts of the flattened word
-    from ospd.crystal import _letter_sign
-    from ospd.signature import signature_of
+    from ospd.signature import MINUS, PLUS, DOT, signature_of
     from ospd.osptab import tuple_to_matrix
     vertices = enumerate_tableaux(shape_plan((1,), 2, cl40), cl40)
     colors = [c for c in simple_root_indices(cl40) if not c.is_spin]
@@ -299,7 +298,9 @@ def test_string_lengths_match_signature_counts(rng, cl40):
         t = rng.choice(vertices)
         color = rng.choice(colors)
         word = [a for col in tuple_to_matrix(t).cols for a in col]
-        sig = signature_of([_letter_sign(color, a) for a in word])
+        sig = signature_of([MINUS if a.rank == color.chain else
+                            PLUS if a.rank == color.chain - 1 else DOT
+                            for a in word])
         assert (string_length(e_osp, cl40, color, t),
                 string_length(f_osp, cl40, color, t)) == (sig.p, sig.q)
 
