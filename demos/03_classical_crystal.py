@@ -8,7 +8,8 @@ a DOT file next to this script.
 import os
 
 from ospd import make_alphabet, shape_plan, explore, weyl_dim_D, check_axioms
-from ospd.crystal import graph_to_dot, plan_weight
+from ospd.alphabet import simple_root_indices
+from ospd.crystal import e_osp, graph_to_dot, plan_weight
 
 A = make_alphabet("classical", 4, 0)
 plan = shape_plan((1, 1), 2, A)
@@ -22,6 +23,9 @@ print("axiom violations:", len(check_axioms(graph)))
 
 src = graph.sources[0]
 print("unique highest weight vertex:", graph.vertices[src].parts)
+print("no raising operator acts on it:",
+      all(e_osp(A, "classical", color, graph.vertices[src]) is None
+          for color in simple_root_indices(A)))
 print("its weight matches Lambda(lambda, ell):",
       graph.weights[src] == plan_weight(A, plan))
 

@@ -8,7 +8,8 @@ highest one.  This demo shows both phenomena side by side.
 """
 
 from ospd import make_alphabet, shape_plan, explore
-from ospd.crystal import (f_reachable, is_genuine_highest, plan_weight,
+from ospd.alphabet import parse_root_index
+from ospd.crystal import (f_osp, f_reachable, is_genuine_highest, plan_weight,
                           tuple_weight)
 from ospd.osptab import highest_weight_tuple
 
@@ -22,6 +23,10 @@ print("plan lambda=(1,1), ell=2 over", A, "bounded at 8 boxes")
 print("vertices:", len(graph.vertices))
 print("connected components:", graph.components)
 print("truncated lowerings at the bound:", len(graph.truncated))
+v, name = graph.truncated[0]
+down = f_osp(A, "super", parse_root_index(A, name), graph.vertices[v])
+print("  e.g. lowering vertex %d at colour %s gives %d boxes"
+      % (v, name, down.boxes()))
 print("\ndistinguished element:", H.parts)
 print("its weight is Lambda(lambda, ell):",
       graph.weights[hid] == tuple_weight(A, H) == plan_weight(A, plan))

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from .alphabet import (Weight, simple_root_delta, simple_root_indices,
                        zero_weight)
 from .osptab import (OspTableauD, RejectError, SpinColumn,
-                     enumerate_tableaux, highest_ssyt_cols, part_letters,
-                     parts_cols, parts_from_columns, slot_of, tuple_to_json,
-                     tuple_to_matrix)
+                     enumerate_tableaux, expected_kinds, highest_ssyt_cols,
+                     part_letters, parts_cols, parts_from_columns, slot_of,
+                     tuple_to_json, tuple_to_matrix)
 from .signature import MINUS, PLUS, survivors
 from .tableau import column_is_valid, letters_weight
 
@@ -151,17 +151,20 @@ def _cols_op(alphabet, family, color, cols, op):
 # ---------------------------------------------------------------------------
 # operators on components and full tableaux
 
-def _parts_op(alphabet, family, color, parts, op):
-    """Act on the components (T_k, ..., T_j) through their matrix columns
-    and rebuild each image in its component's slot; None when the operator
-    is undefined."""
-    cols = _cols_op(alphabet, family, color, parts_cols(parts), op)
-    if cols is None:
-        return None
+def _rebuild(slots, cols):
+    """The components filling ``slots`` with the matrix columns ``cols``;
+    raises CrystalError when one leaves its class."""
     try:
-        return parts_from_columns([slot_of(part) for part in parts], cols)
+        return parts_from_columns(slots, cols)
     except RejectError as exc:
         raise CrystalError("component left its class: %s" % exc) from exc
+
+
+def _parts_op(alphabet, family, color, parts, op):
+    """Act on the components (T_k, ..., T_j) through their matrix columns and
+    rebuild the image in their slots; None when the operator is undefined."""
+    cols = _cols_op(alphabet, family, color, parts_cols(parts), op)
+    return None if cols is None else _rebuild(list(map(slot_of, parts)), cols)
 
 
 def e_pair_bar(alphabet, family, color, part):
@@ -250,8 +253,8 @@ def explore(plan, alphabet, family, max_boxes=None):
     A plan's vertices fill the same slots, so the engine acts on their
     matrix columns and finds each image by its columns; one sign reduction
     per vertex and colour gives both images.  An image missing
-    from the set is rebuilt by :func:`e_osp`/:func:`f_osp`, which raise when
-    a component leaves its class.  Raising images must stay inside the set
+    from the set is rebuilt from its columns once, which raises when a
+    component leaves its class.  Raising images must stay inside the set
     and are kept in ``raised``; lowering images may leave it only through
     the box bound of a super run, as truncated edges that are not followed.
     Each distinct component is weighed once per call.
@@ -263,6 +266,7 @@ def explore(plan, alphabet, family, max_boxes=None):
     colors = simple_root_indices(alphabet)
     graph.raised = [[None] * len(vertices) for _ in colors]
     parent = list(range(len(vertices)))
+    slots = expected_kinds(plan)
 
     def find(x):
         while parent[x] != x:
@@ -270,22 +274,22 @@ def explore(plan, alphabet, family, max_boxes=None):
             x = parent[x]
         return x
 
-    for src, tt in enumerate(vertices):
+    for src in range(len(vertices)):
         letters = _tensor_letters(family, cols[src])
         for color, raised in zip(colors, graph.raised):
             up, down = _cols_images(alphabet, family, color, cols[src], letters)
             if up is not None:
                 raised[src] = index.get(up)
                 if raised[src] is None:
-                    e_osp(alphabet, family, color, tt)
+                    _rebuild(slots, up)
                     raise CrystalError("raising left the enumerated set at "
                                        "vertex %d color %s" % (src, color.name))
             if down is None:
                 continue
             dst = index.get(down)
             if dst is None:
-                down = f_osp(alphabet, family, color, tt)
-                if max_boxes is None or down.boxes() <= max_boxes:
+                _rebuild(slots, down)
+                if max_boxes is None or sum(map(len, down)) <= max_boxes:
                     raise CrystalError("lowering left the enumerated set at "
                                        "vertex %d color %s" % (src, color.name))
                 graph.truncated.append((src, color.name))

@@ -121,6 +121,12 @@ def part_from_cols(slot, cols):
 # ---------------------------------------------------------------------------
 # membership
 
+def _residue(sig, a, b):
+    """The r in {0, 1} with sig = (a - r, b - r), or None; barred is a = 0."""
+    r = a - sig.p
+    return r if r in (0, 1) and sig.q + r == b else None
+
+
 def classify_pair(left, right, a):
     """Check membership of two columns in the class of a-pairs.
 
@@ -137,17 +143,11 @@ def classify_pair(left, right, a):
     if b % 2 or c % 2:
         raise RejectError("b=%d, c=%d not both even" % (b, c))
     sig = sigma_pair(left, right)
-    for r in (0, 1):
-        if sig == (a - r, b - r):
-            return OspPair(left, right, a, r)
-    raise RejectError("signature %s is not (a-r, b-r) for r=0,1" % (sig,))
-
-
-def try_classify_pair(left, right, a):
-    try:
-        return classify_pair(left, right, a)
-    except RejectError:
-        return None
+    r = _residue(sig, a, b)
+    if r is None:
+        raise RejectError("signature %s is not (a-r, b-r) for r=0,1"
+                          % (sig,))
+    return OspPair(left, right, a, r)
 
 
 def make_bar_pair(left, right):
@@ -160,17 +160,10 @@ def make_bar_pair(left, right):
     b = len(right) - len(left)
     if b < 0 or b % 2:
         raise RejectError("right column must be taller by an even amount")
-    if sigma_pair(left, right) != (0, b):
+    if _residue(sigma_pair(left, right), 0, b) is None:
         raise RejectError("pair is not semistandard at shape lambda(0,%d,%d)"
                           % (b, len(left)))
     return BarPair(left, right)
-
-
-def try_make_bar_pair(left, right):
-    try:
-        return make_bar_pair(left, right)
-    except RejectError:
-        return None
 
 
 def valid_slide_offsets(left, right, a):
@@ -370,7 +363,9 @@ def tabled_admissibility():
     profile = _Table(lambda s: _adm_profile(s, share))
     right_star = _Table(lambda t: share(star_split(t)[1])).__getitem__
     right_lr = _Table(lambda t: share(lr_split(t)[1])).__getitem__
-    barred = _Table(lambda cols: try_make_bar_pair(*cols) is not None)
+    # T^R of a barred T and S^L have odd heights: only b >= 0 and sigma left
+    barred = _Table(lambda cols: len(cols[1]) >= len(cols[0]) and _residue(
+        sigma_pair(*cols), 0, len(cols[1]) - len(cols[0])) is not None)
 
     def left_of(s):
         if not isinstance(s, (OspPair, SpinColumn, BarPair)):
@@ -600,16 +595,17 @@ def osp_pairs(alphabet, a, budget, bar=False):
     else:
         shapes = ((a, b, c) for c in range(0, budget + 1, 2)
                   for b in range(0, budget + 1, 2))
+    # valid shapes of valid columns: each pair needs only the signature test
     for aa, b, c in shapes:
         hl, hr = aa + c, b + c
         if hl + hr > budget or hl > max_h or hr > max_h:
             continue
         for left in cols.get(hl, ()):
             for right in cols.get(hr, ()):
-                part = (try_make_bar_pair(left, right) if bar
-                        else try_classify_pair(left, right, aa))
-                if part is not None:
-                    out.append(part)
+                r = _residue(sigma_pair(left, right), aa, b)
+                if r is not None:
+                    out.append(BarPair(left, right) if bar
+                               else OspPair(left, right, aa, r))
     return out
 
 

@@ -59,25 +59,27 @@ def signature_of(symbols):
 # signature of a pair of columns
 
 def merged_pair_word(u, v):
-    """Entries of U and V in weakly decreasing order with sources.
-
-    For a letter occurring in both columns, the copies from U sit to the
-    right of those from V if the letter is even, to the left if odd.
-    Returns a list of (letter, source) with source '-' for U and '+' for V.
-    """
-
-    def key(item):
-        letter, src = item
-        # descending rank; even ties put V (+) first, odd ties put U (-) first
-        if letter.parity == EVEN:
-            tie = 0 if src == PLUS else 1
+    """The entries of the columns U and V as (letter, source) pairs with
+    source '-' for U and '+' for V, weakly decreasing: columns increase
+    downwards, so one merge from the bottom orders them.  A letter in both
+    puts V's copy first if it is even, U's if it is odd."""
+    out = []
+    i, j = len(u) - 1, len(v) - 1
+    while i >= 0 and j >= 0:
+        x, y = u[i], v[j]
+        if x.rank > y.rank or x.rank == y.rank and x.parity != EVEN:
+            out.append((x, MINUS))
+            i -= 1
         else:
-            tie = 0 if src == MINUS else 1
-        return (-letter.rank, tie)
-
-    items = [(a, MINUS) for a in u] + [(a, PLUS) for a in v]
-    items.sort(key=key)
-    return items
+            out.append((y, PLUS))
+            j -= 1
+    while i >= 0:
+        out.append((u[i], MINUS))
+        i -= 1
+    while j >= 0:
+        out.append((v[j], PLUS))
+        j -= 1
+    return out
 
 
 def sigma_pair(u, v):
@@ -121,8 +123,7 @@ def matrix_row_word(matrix):
 
 
 def sigma_matrix(matrix, i):
-    word = [k for k, _ in matrix_row_word(matrix)]
-    return sigma_word(word, i)
+    return sigma_word([k for k, _ in matrix_row_word(matrix)], i)
 
 
 def _matrix_move(matrix, a, src, dst):
@@ -164,8 +165,7 @@ def tableau_word(q_cols):
 
 
 def sigma_tableau(q_cols, i):
-    word = [e for _, e in tableau_word(q_cols)]
-    return sigma_word(word, i)
+    return sigma_word([e for _, e in tableau_word(q_cols)], i)
 
 
 def _tableau_power(q_cols, i, op, k):

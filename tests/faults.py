@@ -12,6 +12,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from ospd import character, crystal, osptab, signature
+from ospd.alphabet import EVEN
 from ospd.signature import MINUS, PLUS
 
 
@@ -43,6 +44,22 @@ def sign_reduction(monkeypatch):
     """``survivors`` and every reduction built on it, such as
     ``sigma_pair`` and the crystal operators' sign rule."""
     replace(monkeypatch, signature, "survivors", _survivors_minus_plus)
+
+
+def pair_merge_ties_swapped(monkeypatch):
+    """``merged_pair_word`` putting U's copy of an even letter in both
+    columns before V's; ``sigma_pair`` and the splits read the merge."""
+    merged = signature.merged_pair_word
+
+    def swapped(u, v):
+        word = merged(u, v)
+        for k in range(len(word) - 1):
+            (x, src), (y, _) = word[k], word[k + 1]
+            if x == y and x.parity == EVEN and src == PLUS:
+                word[k], word[k + 1] = word[k + 1], word[k]
+        return word
+
+    replace(monkeypatch, signature, "merged_pair_word", swapped)
 
 
 def lr_split_short(monkeypatch):
@@ -117,6 +134,12 @@ FAULTS = {
          "super-closure-2|2-(1,1)-2", "schur-pieri-classical-3-0-(1,)-2"),
         ("test_osptab::test_sliding_algorithms_match_operator_splits",
          WORD_ORACLE, INVERSE_ORACLE)),
+    "pair-merge-ties-swapped": Fault(
+        pair_merge_ties_swapped,
+        ("worked-examples", "classical-crystal-D4-(1, 1)-2",
+         "super-closure-2|2-(1,1)-2"),
+        ("test_signature::test_sigma_pair_matches_matrix",
+         "test_signature::test_merge_matches_a_keyed_sort")),
     "lr-split-one-raising-short": Fault(
         lr_split_short,
         ("worked-examples", "classical-crystal-D3-(2,)-3"),

@@ -133,8 +133,9 @@ def test_super_edges_match_the_word_oracle():
     ("classical", 4, 0, (1, 1), 2, None), ("super", 2, 2, (1, 1), 2, 8)])
 def test_one_reduction_per_vertex_and_colour(monkeypatch, kind, m, n, lam,
                                              ell, bound):
-    # both images of a vertex under a colour come from one sign reduction;
-    # a truncated lowering is rebuilt once more through f_osp
+    # both images of a vertex under a colour come from one sign reduction,
+    # and a truncated lowering is rebuilt from its columns without another;
+    # the isotropic colour of the super family reduces no sign word
     calls = []
     survivors = crystal.survivors
 
@@ -145,6 +146,7 @@ def test_one_reduction_per_vertex_and_colour(monkeypatch, kind, m, n, lam,
     monkeypatch.setattr(crystal, "survivors", counted)
     A = make_alphabet(kind, m, n)
     graph = explore(shape_plan(lam, ell, A), A, kind, bound)
-    colours = len(simple_root_indices(A))
-    assert calls
-    assert len(calls) <= len(graph.vertices) * colours + len(graph.truncated)
+    reducing = [c for c in simple_root_indices(A)
+                if not (kind == "super" and c.odd)]
+    assert bool(graph.truncated) == (bound is not None)
+    assert len(calls) == len(graph.vertices) * len(reducing)

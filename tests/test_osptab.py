@@ -6,19 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospd import (classify_pair, enumerate_tableaux, is_admissible,
-                  lr_split, make_alphabet, shape_plan, star_split, validate,
-                  weyl_dim_D)
+                  lr_split, make_alphabet, shape_plan, star_split, tableau,
+                  validate, weyl_dim_D)
 from ospd.osptab import (OspPair, OspTableauD, RejectError, SpinColumn,
                          _part_sort_key, all_columns, column_count,
                          expected_kinds, highest_weight_tuple,
                          is_admissible_sigma, lr_split_sliding, make_bar_pair,
                          osp_pairs, part_from_cols, spin_columns,
-                         star_split_sliding, try_classify_pair,
-                         tuple_from_json, tuple_to_json, valid_slide_offsets)
+                         star_split_sliding, tuple_from_json, tuple_to_json,
+                         valid_slide_offsets)
 from ospd.signature import sigma_pair
+from ospd.tableau import column_is_valid
 
 from conftest import letters
-from faults import FAULTS
+from faults import FAULTS, replace
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +65,13 @@ def test_slide_characterization_exhaustive():
                     continue
                 for left in cols[hl]:
                     for right in cols.get(hr, ()):
-                        member = try_classify_pair(left, right, a)
                         offsets = valid_slide_offsets(left, right, a)
-                        if member is not None:
-                            assert offsets == set(range(member.residue + 1))
-                        else:
+                        try:
+                            member = classify_pair(left, right, a)
+                        except RejectError:
                             assert not (offsets == {0} or offsets == {0, 1})
+                        else:
+                            assert offsets == set(range(member.residue + 1))
 
 
 def test_lr_split_worked_example(worked):
@@ -160,6 +162,52 @@ def test_column_count_is_the_number_of_columns():
         for h in range(9):
             built += len(all_columns(A, h))
             assert column_count(A, h) == built
+
+
+@pytest.mark.parametrize("kind,m,n", [("classical", 4, 2), ("super", 4, 2),
+                                      ("super", 3, 2)])
+def test_pools_are_the_filtered_product(kind, m, n):
+    # every pair of columns within the budget through the public membership
+    # tests, which raise on a rejected pair, against the pools, which test
+    # only the signature of the shapes they generate
+    A = make_alphabet(kind, m, n)
+    budget = 6
+    cols = [c for h in range(budget + 1) for c in all_columns(A, h)]
+    pairs = [(left, right) for left in cols for right in cols
+             if len(left) + len(right) <= budget]
+
+    def members(test):
+        out = []
+        for left, right in pairs:
+            try:
+                out.append(test(left, right))
+            except RejectError:
+                pass
+        return sorted(out)
+
+    for a in range(5):
+        want = members(lambda left, right: classify_pair(left, right, a))
+        assert sorted(osp_pairs(A, a, budget)) == want and want
+    want = members(make_bar_pair)
+    assert sorted(osp_pairs(A, 0, budget, bar=True)) == want and want
+
+
+def test_pools_validate_each_column_at_most_once(monkeypatch):
+    calls = []
+    valid = column_is_valid
+
+    def counted(col):
+        calls.append(col)
+        return valid(col)
+
+    replace(monkeypatch, tableau, "column_is_valid", counted)
+    A = make_alphabet("super", 4, 2)
+    budget = 6
+    generated = sum(len(all_columns(A, h)) for h in range(budget + 1))
+    for a, bar in [(a, False) for a in range(5)] + [(0, True)]:
+        del calls[:]
+        assert osp_pairs(A, a, budget, bar=bar)
+        assert len(calls) <= generated
 
 
 def test_admissibility_worked_examples(worked):

@@ -2,10 +2,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from ospd import rsk
+from ospd import make_alphabet, rsk
+from ospd.alphabet import EVEN
+from ospd.osptab import all_columns
 from ospd.signature import (Signature, gl_e_matrix, gl_e_tableau,
-                            gl_f_matrix, gl_f_tableau, sigma_matrix,
-                            sigma_pair, sigma_tableau, sigma_word, survivors)
+                            gl_f_matrix, gl_f_tableau, merged_pair_word,
+                            sigma_matrix, sigma_pair, sigma_tableau,
+                            sigma_word, survivors)
 from ospd.tableau import make_matrix
 
 from conftest import letters, random_column, random_matrix
@@ -75,6 +78,45 @@ def test_sigma_pair_matches_matrix(rng, sup22):
             v = random_column(rng, sup22, rng.randrange(0, 6))
         m = make_matrix((v, u))  # m^(2) is U, m^(1) is V
         assert sigma_pair(u, v) == sigma_matrix(m, 1)
+
+
+def _sorted_pair_word(u, v):
+    """The merged word by a keyed sort: letters by decreasing rank, and for
+    a letter in both columns V's copy first if it is even, U's if odd."""
+    def key(item):
+        letter, src = item
+        return -letter.rank, src == ("-" if letter.parity == EVEN else "+")
+
+    return sorted([(x, "-") for x in u] + [(y, "+") for y in v], key=key)
+
+
+def _counted_signature(word):
+    """(p, q) by bracket counting: a '-' closes the latest open '+'."""
+    p = q = 0
+    for _, src in word:
+        if src == "+":
+            q += 1
+        elif q:
+            q -= 1
+        else:
+            p += 1
+    return p, q
+
+
+def test_merge_matches_a_keyed_sort():
+    # every pair of columns of height at most 4 over classical 3|3 (57
+    # columns) and super 3|3 (129 columns)
+    pairs = 0
+    for kind in ("classical", "super"):
+        A = make_alphabet(kind, 3, 3)
+        cols = [c for h in range(5) for c in all_columns(A, h)]
+        for u in cols:
+            for v in cols:
+                word = _sorted_pair_word(u, v)
+                assert merged_pair_word(u, v) == word
+                assert sigma_pair(u, v) == _counted_signature(word)
+                pairs += 1
+    assert pairs == 19890
 
 
 def test_sigma_word_examples():
