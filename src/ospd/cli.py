@@ -13,7 +13,7 @@ import random
 import sys
 from math import comb
 
-from . import character, crystal, osptab
+from . import character, crystal, lemmas, osptab
 from .alphabet import make_alphabet
 from .osptab import RejectError
 
@@ -227,13 +227,14 @@ def _check_schur(kind, m, n, lam, ell, bound):
 
 
 def _check_lemma_suites(seed):
-    from .lemmas import run_admissibility_suite, run_split_lemma_suite
     detail = {}
     ok = True
     for kind in ("classical", "super"):
         alphabet = make_alphabet(kind, 4, 2)
-        rep = run_split_lemma_suite(alphabet)
-        rep2 = run_admissibility_suite(alphabet, per_case=100, seed=seed + 1)
+        pools = lemmas.member_pools(alphabet)
+        rep = lemmas.run_split_lemma_suite(alphabet, pools)
+        rep2 = lemmas.run_admissibility_suite(alphabet, pools, per_case=100,
+                                              seed=seed + 1)
         ok &= rep["ok"] and rep["complete"] and rep2["ok"] and rep2["complete"]
         detail[kind] = {"split": sum(rep["counts"].values()),
                         "admissible": sum(rep2["counts"].values())}

@@ -3,24 +3,27 @@
 The raising operator at the spin color interacts with the two splits of a
 two-column member in twenty numbered ways (ten when it hits the right
 column, ten for the left), and preserves admissibility of adjacent pairs.
-The clauses are swept over a finite pool; admissibility is sampled, its
-pool being too large, with splits (one sign reduction each) tabled per
-run.  A report counts instances and collects counterexamples.
+The clauses are swept over a finite pool.  Admissibility is sampled, each
+draw aimed at a case, which the spin signs of the columns decide.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 from .alphabet import simple_root_indices
 from .crystal import _parts_op, _spin_sign, e_pair_bar
-from .osptab import (BarPair, SpinColumn, is_admissible, lr_split, osp_pairs,
-                     spin_columns, star_split, tabled_admissibility)
+from .osptab import (BarPair, SpinColumn, is_admissible, lr_split,
+                     osp_pairs, part_cols, slot_of, spin_columns, star_split,
+                     tabled_admissibility)
+from .signature import survivors
 
-# each suite's member budget and largest a, and the sampler's draw limit
+# each suite's member budget and largest a, the sampler's draw limit and cases
 SPLIT_BUDGET, SPLIT_MAX_A = 8, 4
 ADMISSIBLE_BUDGET, ADMISSIBLE_MAX_A = 6, 3
 MAX_ATTEMPTS = 2000000
+CASES = ("T1L", "T1R", "T1bar", "T1sp", "T2L", "T2R", "T2bar")
 
 
 def _remove_one(col, letter):
@@ -105,16 +108,20 @@ def check_lemma_clauses(alphabet, t, t_new, which):
     return out
 
 
-def run_split_lemma_suite(alphabet):
-    """Check the twenty clauses on every member of ``osp_pairs`` with
-    ``a <= SPLIT_MAX_A`` and at most ``SPLIT_BUDGET`` boxes.
+def member_pools(alphabet):
+    """The pair pools of both suites by class a <= SPLIT_MAX_A, each at the
+    larger of their budgets; a suite keeps the members within its own."""
+    return [osp_pairs(alphabet, a, max(SPLIT_BUDGET, ADMISSIBLE_BUDGET + a))
+            for a in range(SPLIT_MAX_A + 1)]
 
-    The report counts instances per clause, members swept (``attempts``) and
-    failures; ``complete`` says that each of the twenty clauses applied.
-    """
+
+def run_split_lemma_suite(alphabet, pools):
+    """Check the twenty clauses on every member of :func:`member_pools`
+    within ``SPLIT_BUDGET`` boxes.  The report counts instances per clause,
+    members swept (``attempts``) and failures; ``complete`` says that each
+    of the twenty clauses applied."""
     spin = simple_root_indices(alphabet)[0]
-    members = [t for a in range(SPLIT_MAX_A + 1)
-               for t in osp_pairs(alphabet, a, SPLIT_BUDGET)]
+    members = [t for pool in pools for t in pool if t.boxes() <= SPLIT_BUDGET]
     counts = {}
     failures = []
     for t in members:
@@ -131,50 +138,11 @@ def run_split_lemma_suite(alphabet):
             "failures": failures, "ok": not failures}
 
 
-_CASE_MODES = {"T2R": (0,), "T2L": (0,), "T1R": (0, 5), "T1L": (0, 4),
-               "T1sp": (1, 2), "T1bar": (2, 3), "T2bar": (3,)}
-
-
-def _random_adjacent_pair(rng, pools, spins, minus_spins, bars, modes, inert,
-                          active, active_r):
-    """Draw a random (T2, T1) of admissible-comparable kinds; ``modes``
-    restricts the kind combination to keep unfilled buckets reachable."""
-    mode = rng.choice(modes)
-    if mode == 0:  # pair-pair
-        a1 = rng.randrange(len(pools))
-        a2 = rng.randrange(a1, len(pools))
-        return rng.choice(pools[a2]), rng.choice(pools[a1])
-    if mode == 1:  # pair-spin
-        s = rng.choice(spins)
-        a2 = rng.randrange(s.residue, len(pools))
-        return rng.choice(pools[a2]), s
-    if mode == 2:  # pair-bar
-        a2 = rng.randrange(1, len(pools))
-        return rng.choice(pools[a2]), rng.choice(bars)
-    if mode == 3:
-        if rng.randrange(2):  # bar-bar
-            return rng.choice(bars), rng.choice(bars)
-        return rng.choice(bars), rng.choice(minus_spins)
-    # modes 4/5: the left member cannot absorb the move, a chosen column
-    # of the right member carries it
-    target = active if mode == 4 else active_r
-    a1 = rng.randrange(len(target))
-    if not target[a1] or not inert[a1]:
-        return rng.choice(pools[-1]), rng.choice(pools[0])
-    return rng.choice(inert[a1]), rng.choice(target[a1])
-
-
 def _pair_case(old, new):
-    """Which component and column the raising hit: T2R, T2L, T1R, T1L,
-    T1 (spin right member), or bar moves."""
-    t2, t1 = old
-    u2, u1 = new
-    if t2 != u2:
-        side = "2"
-        a, b = t2, u2
-    else:
-        side = "1"
-        a, b = t1, u1
+    """Which component and column the raising of (T2, T1) hit: T2R, T2L,
+    T1R, T1L, T1sp (a spin T1), or T2bar, T1bar (a barred one)."""
+    k = 0 if old[0] != new[0] else 1  # T2 moved, else T1
+    side, a, b = "21"[k], old[k], new[k]
     if isinstance(a, SpinColumn):
         return "T1sp"
     if isinstance(a, BarPair) or isinstance(b, BarPair):
@@ -182,66 +150,96 @@ def _pair_case(old, new):
     return "T%s%s" % (side, _which_column_moved(a, b))
 
 
-def run_admissibility_suite(alphabet, per_case=2000, seed=2):
-    """Raising an admissible adjacent pair keeps it admissible; instances
-    are bucketed by which column the operator hit.  Draws are filtered
-    through tables local to the run, each raised pair is checked by the
-    public relation, and the run stops at its first failure."""
+def _predicted_case(s_type, t_type):
+    """The case of raising (T, S) at the spin colour, read from the spin
+    signs of S's matrix columns followed by T's: the rightmost '-' that
+    survives the reduction moves; None when none survives."""
+    minus, _ = survivors(s_type[2] + t_type[2])
+    if not minus:
+        return None
+    j = minus[-1]
+    side, kind, col = ("1", s_type[0][0], j) if j < len(s_type[2]) else \
+        ("2", t_type[0][0], j - len(s_type[2]))
+    if kind == "spin":
+        return "T1sp"
+    return "T%sbar" % side if kind == "bar" else "T%s%s" % (side, "RL"[col])
+
+
+def _draw_tables(alphabet, pools):
+    """The admissibility suite's members: the pairs of ``pools`` of class
+    a <= ADMISSIBLE_MAX_A within ADMISSIBLE_BUDGET + a boxes, and the spin
+    columns and barred pairs within ADMISSIBLE_BUDGET, by type (slot,
+    residue, spin signs of the matrix columns) and then by height of the
+    first column; and per case, None where raising is undefined, the
+    (S type, T type, offset) triples in it, len(T^R) <= len(S^L) + offset
+    being clause (i) for a pair T and the barred test for a barred T."""
+    parts = ([t for a in range(ADMISSIBLE_MAX_A + 1) for t in pools[a]
+              if t.boxes() <= ADMISSIBLE_BUDGET + a]
+             + spin_columns(alphabet, "+", ADMISSIBLE_BUDGET)
+             + spin_columns(alphabet, "-", ADMISSIBLE_BUDGET)
+             + osp_pairs(alphabet, 0, ADMISSIBLE_BUDGET, bar=True))
+    types = {}
+    for part in sorted(parts, key=lambda part: len(part_cols(part)[0])):
+        residue = 1 if isinstance(part, BarPair) else part.residue
+        signs = tuple(map(_spin_sign, part_cols(part)))
+        types.setdefault((slot_of(part), residue, signs), []).append(part)
+    combos = {}
+    for s_type in types:
+        (kind, param), r_s = s_type[:2]
+        a_p = param if kind == "pair" else r_s  # spin or barred S: a' = r_S
+        for t_type in types:
+            (t_kind, a), r_t = t_type[:2]
+            if t_kind == "pair" and a >= a_p:
+                offset = 2 * r_s * r_t - a_p
+            elif t_kind == "bar" and kind != "pair" and r_s:
+                offset = 0
+            else:
+                continue
+            combos.setdefault(_predicted_case(s_type, t_type), []).append(
+                (s_type, t_type, offset))
+    return types, combos
+
+
+def run_admissibility_suite(alphabet, pools, per_case=2000, seed=2):
+    """Raising an admissible adjacent pair (T, S) at the spin colour keeps it
+    admissible.  The case of :func:`_pair_case` reads only the spin signs of
+    the matrix columns, so each draw aims at a case short of ``per_case``:
+    a triple of :func:`_draw_tables` in it, then S of its type, then T of
+    its type within the height S allows.  Pairs that tables local to the run
+    find inadmissible are dropped.  A raising undefined or in another case,
+    or a raised pair that the public relation rejects, is a failure, and
+    the run stops at the first.  ``pools`` are :func:`member_pools`."""
     rng = random.Random(seed)
     left_of, _ = tabled_admissibility()
     spin = simple_root_indices(alphabet)[0]
-    budget = ADMISSIBLE_BUDGET
-    pools = [sorted(osp_pairs(alphabet, a, budget + a))
-             for a in range(ADMISSIBLE_MAX_A + 1)]
-    spins = sorted(spin_columns(alphabet, "+", budget)) + \
-        sorted(spin_columns(alphabet, "-", budget))
-    minus_spins = [s for s in spins if s.sign == "-"]
-    bars = sorted(osp_pairs(alphabet, 0, budget, bar=True))
-    blocked = [[t for t in pool
-                if _spin_sign(t.left) == "." and _spin_sign(t.right) == "."]
-               for pool in pools]
-    # inert[a1]: members of any class a2 >= a1 that cannot absorb the move
-    inert = [sorted(t for pool in blocked[a1:] for t in pool)
-             for a1 in range(len(pools))]
-    # active[a1]: a1-members whose left column carries the removable domino
-    # and whose right column cannot cancel it; active_r: the right column
-    # carries it instead
-    active = [[t for t in pool if _spin_sign(t.left) == "-"
-               and _spin_sign(t.right) != "+"] for pool in pools]
-    active_r = [[t for t in pool if _spin_sign(t.right) == "-"
-                 and _spin_sign(t.left) != "-"] for pool in pools]
-    counts = {}
+    types, combos = _draw_tables(alphabet, pools)
+    counts = dict.fromkeys(CASES, 0)
     failures = []
     attempts = 0
-
-    def open_modes():
-        modes = set()
-        for case in _CASE_MODES:
-            if counts.get(case, 0) < per_case:
-                modes.update(_CASE_MODES[case])
-        return tuple(sorted(modes))
-
-    modes = open_modes()
-    while attempts < MAX_ATTEMPTS and modes:
+    open_cases = [case for case in CASES if case in combos]
+    while attempts < MAX_ATTEMPTS and open_cases:
         attempts += 1
-        t2, t1 = _random_adjacent_pair(rng, pools, spins, minus_spins, bars,
-                                       modes, inert, active, active_r)
-        if not left_of(t1)(t2):
+        case = rng.choice(open_cases)
+        s_type, t_type, offset = rng.choice(combos[case])
+        s = rng.choice(types[s_type])
+        # S^L is the last matrix column of every right member
+        n = bisect_right(types[t_type], len(part_cols(s)[-1]) + offset,
+                         key=lambda t: len(t.right))
+        if not n:
             continue
-        moved = _parts_op(alphabet, "classical", spin, (t2, t1), "e")
-        if moved is None:
+        t = types[t_type][rng.randrange(n)]
+        if not left_of(s)(t):
             continue
-        u2, u1 = moved
-        case = _pair_case((t2, t1), (u2, u1))
-        if counts.get(case, 0) >= per_case:
-            continue
-        counts[case] = counts.get(case, 0) + 1
-        if counts[case] >= per_case:
-            modes = open_modes()
-        if not is_admissible(u2, u1):
-            failures.append({"case": case, "old": (t2, t1), "new": (u2, u1)})
+        moved = _parts_op(alphabet, "classical", spin, (t, s), "e")
+        raised = None if moved is None else _pair_case((t, s), moved)
+        if raised == case:
+            counts[case] += 1
+            if counts[case] == per_case:
+                open_cases.remove(case)
+        if raised != case or not is_admissible(*moved):
+            failures.append({"case": case, "raised": raised,
+                             "old": (t, s), "new": moved})
             break
-    return {"counts": dict(sorted(counts.items())), "attempts": attempts,
-            "complete": not modes,
+    return {"counts": counts, "attempts": attempts,
+            "complete": min(counts.values()) >= per_case,
             "failures": failures, "ok": not failures}
-

@@ -23,7 +23,8 @@ from ospd.character import (k_coefficients, k_from_character, s_character,
                             schur_expansion_matches, super_schur, CharPoly)
 from ospd.crystal import (check_axioms, explore, f_reachable,
                           is_genuine_highest, plan_weight)
-from ospd.lemmas import run_admissibility_suite, run_split_lemma_suite
+from ospd.lemmas import (member_pools, run_admissibility_suite,
+                         run_split_lemma_suite)
 from ospd.osptab import (classify_pair, highest_weight_tuple, is_admissible,
                          lr_split, star_split, tuple_to_matrix)
 from ospd.signature import sigma_pair
@@ -35,6 +36,10 @@ CLASSICAL_RANKS = ((3, 0), (4, 0))
 SUPER_ALPHABETS = ((2, 2), (3, 2))
 SUPER_PLANS = (((), 1), ((1,), 1), ((1, 1), 2), ((2,), 2), ((), 2), ((2,), 3))
 SUPER_BOUND = 8
+# most draws criterion 6's super 4|2 admissibility suite may make, a quarter
+# of the 1,383,517 that draws not aimed at a case took; unlike a time, a draw
+# count does not drift with the host
+SUPER_SUITE_MAX_DRAWS = 350000
 
 
 def classical_plan_list(rank):
@@ -181,12 +186,16 @@ def test_criterion_6_split_lemma_suites():
     details = []
     for kind in ("classical", "super"):
         alphabet = make_alphabet(kind, 4, 2)
-        rep = run_split_lemma_suite(alphabet)
+        pools = member_pools(alphabet)
+        rep = run_split_lemma_suite(alphabet, pools)
         assert rep["complete"], rep["counts"]
         assert rep["ok"], rep["failures"][:1]
-        rep2 = run_admissibility_suite(alphabet, per_case=2000, seed=102)
+        rep2 = run_admissibility_suite(alphabet, pools, per_case=2000,
+                                       seed=102)
         assert rep2["complete"], rep2["counts"]
         assert rep2["ok"], rep2["failures"][:1]
+        if kind == "super":
+            assert rep2["attempts"] <= SUPER_SUITE_MAX_DRAWS, rep2["attempts"]
         details.append("%s: %d+%d instances" % (
             kind, sum(rep["counts"].values()), sum(rep2["counts"].values())))
     elapsed = time.time() - t0
