@@ -8,14 +8,14 @@ coefficient.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from operator import add
 
-from .osptab import (RejectError, enumerate_tableaux, matrix_to_tuple,
-                     part_letters, tuple_to_matrix)
+from .osptab import (RejectError, _Table, all_columns, enumerate_tableaux,
+                     matrix_to_tuple, part_letters, tuple_to_matrix)
 from .signature import Signature, gl_e_tableau, gl_f_tableau, sigma_tableau
-from .tableau import (conjugate, inverse_rsk, is_partition, letters_weight,
-                      row_pair_ok, rsk, straight_is_semistandard)
+from .tableau import (conjugate, inverse_rsk, is_partition, row_pair_ok, rsk,
+                      straight_is_semistandard)
 
 # ---------------------------------------------------------------------------
 # character polynomials
@@ -25,30 +25,13 @@ class CharPoly:
     """Sparse z/x polynomial keyed by (level, exponent tuple)."""
 
     def __init__(self, terms=None):
-        self.terms = dict(terms or {})
-        self._trim()
-
-    def _trim(self):
-        self.terms = {k: v for k, v in self.terms.items() if v}
-
-    def copy(self):
-        return CharPoly(self.terms)
-
-    def add_term(self, level, exps, coeff=1):
-        key = (level, tuple(exps))
-        self.terms[key] = self.terms.get(key, 0) + coeff
-        if not self.terms[key]:
-            del self.terms[key]
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     def __add__(self, other):
-        out = self.copy()
+        out = dict(self.terms)
         for key, v in other.terms.items():
-            out.terms[key] = out.terms.get(key, 0) + v
-        out._trim()
-        return out
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
+            out[key] = out.get(key, 0) + v
+        return CharPoly(out)
 
     def scaled(self, c):
         return CharPoly({k: c * v for k, v in self.terms.items()})
@@ -60,9 +43,6 @@ class CharPoly:
     def truncated(self, max_degree):
         return CharPoly({(lv, ex): v for (lv, ex), v in self.terms.items()
                          if sum(ex) <= max_degree})
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, CharPoly) and self.terms == other.terms
@@ -78,21 +58,37 @@ class CharPoly:
         return out
 
 
-def _content_exps(alphabet, letters):
-    return letters_weight(alphabet, letters).counts
+def _packing(alphabet, base):
+    """Contents as integers: the count of the letter of rank a is digit a
+    in the given base, so adding packed contents adds the contents while
+    every count stays below the base.  Returns pack(letters), the packed
+    content of a list of letters, and unpack(key), its exponent tuple."""
+    powers = [base ** rank for rank in range(alphabet.size)]
+
+    def pack(letters):
+        return sum(powers[a.rank] for a in letters)
+
+    def unpack(key):
+        return tuple(key // power % base for power in powers)
+
+    return pack, unpack
 
 
 # ---------------------------------------------------------------------------
 # Schur functions over a graded alphabet
 
-def enumerate_ssyt(mu, alphabet):
-    """All semistandard tableaux of straight shape mu, column-major."""
+def _ssyt_columns(mu, alphabet):
+    """The column heights of the partition mu, and every column of each."""
     mu = tuple(x for x in mu if x)
     if not is_partition(mu):
         raise RejectError("mu must be a partition")
     heights = conjugate(mu)
-    from .osptab import all_columns
-    columns = {h: all_columns(alphabet, h) for h in set(heights)}
+    return heights, {h: all_columns(alphabet, h) for h in set(heights)}
+
+
+def enumerate_ssyt(mu, alphabet):
+    """All semistandard tableaux of straight shape mu, column-major."""
+    heights, columns = _ssyt_columns(mu, alphabet)
     results = []
 
     def extend(j, cols):
@@ -113,7 +109,12 @@ def enumerate_ssyt(mu, alphabet):
 def super_schur(mu, alphabet, max_degree=None):
     """The Schur function of mu: the weight generating function of the
     semistandard tableaux of shape mu.  Homogeneous of degree |mu|; the
-    optional bound is an API guard only."""
+    optional bound is an API guard only.
+
+    Summed column by column, left to right, over the rule of
+    ``enumerate_ssyt`` (``row_pair_ok`` between adjacent columns): the
+    state maps each last column to the contents, packed in base |mu| + 1,
+    of the partial tableaux that end in it, with their counts."""
     mu = tuple(x for x in mu if x)
     size = sum(mu)
     if alphabet.kind == "super":
@@ -121,32 +122,38 @@ def super_schur(mu, alphabet, max_degree=None):
             raise RejectError("super alphabets require max_degree")
         if max_degree < size:
             raise RejectError("max_degree below |mu|")
-    poly = CharPoly()
-    weight = {}  # each column's exponents, computed once per call
-    for cols in enumerate_ssyt(mu, alphabet):
-        exps = [0] * alphabet.size
-        for col in cols:
-            if col not in weight:
-                weight[col] = _content_exps(alphabet, col)
-            exps = map(add, exps, weight[col])
-        poly.add_term(0, exps)
-    return poly
+    heights, columns = _ssyt_columns(mu, alphabet)
+    pack, unpack = _packing(alphabet, size + 1)
+    state = {(): {0: 1}}  # the empty tableau ends in the empty column
+    for h in heights:
+        step = {}
+        for col in columns[h]:
+            before = Counter()
+            for last, contents in state.items():
+                if all(map(row_pair_ok, last, col)):
+                    before.update(contents)
+            if before:
+                w = pack(col)
+                step[col] = {key + w: n for key, n in before.items()}
+        state = step
+    total = Counter()
+    for contents in state.values():
+        total.update(contents)
+    return CharPoly({(0, unpack(key)): n for key, n in total.items()})
 
 
 def s_character(plan, alphabet, max_boxes=None):
     """The weight generating function of the tableaux of the plan, with the
-    level recorded in the z variable.  A tableau's exponents are the sum of
-    its components', and each component is weighed once per call."""
-    weight = {}
-    terms = {}
-    for t in enumerate_tableaux(plan, alphabet, max_boxes):
-        for part in t.parts:
-            if part not in weight:
-                weight[part] = _content_exps(alphabet, part_letters(part))
-        key = (plan.ell, tuple(map(sum, zip(*map(weight.__getitem__,
-                                                  t.parts)))))
-        terms[key] = terms.get(key, 0) + 1
-    return CharPoly(terms)
+    level recorded in the z variable.  Contents are packed in base one more
+    than the box bound, which no count reaches: each component is packed
+    once per call, a tableau's content is the sum of its components', and
+    only the distinct sums are unpacked."""
+    bound = max_boxes if max_boxes is not None else plan.ell * alphabet.size
+    pack, unpack = _packing(alphabet, bound + 1)
+    packed = _Table(lambda part: pack(part_letters(part)))
+    counts = Counter(sum(map(packed.__getitem__, t.parts))
+                     for t in enumerate_tableaux(plan, alphabet, max_boxes))
+    return CharPoly({(plan.ell, unpack(key)): n for key, n in counts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -469,32 +476,37 @@ def verify_pieri(plan, alphabet, max_boxes=None):
 # expansion oracle: solve for the coefficients from the character
 
 def _dominant_exponent(ex):
-    return tuple(sorted((e for e in ex), reverse=True))
+    return tuple(sorted(ex, reverse=True))
 
 
 def k_from_character(plan, alphabet, max_boxes=None):
     """Recover the branching coefficients by peeling Schur functions off the
     character, degree by degree; classical alphabets only (triangularity of
-    the Schur basis in even variables)."""
+    the Schur basis in even variables).  Each degree's terms are one dict,
+    from which coeff * s_mu is subtracted in place."""
     if alphabet.kind != "classical":
         raise RejectError("the expansion oracle needs a classical alphabet")
     poly = s_character(plan, alphabet, max_boxes)
     by_degree = {}
     for (lv, ex), coeff in poly.terms.items():
-        by_degree.setdefault(sum(ex), CharPoly()).add_term(lv, ex, coeff)
+        by_degree.setdefault(sum(ex), {})[lv, ex] = coeff
     out = {}
     schur_cache = {}
+    dominant = _Table(_dominant_exponent)
     for degree in sorted(by_degree):
         cur = by_degree[degree]
-        while not cur.is_zero():
-            (lv, ex), coeff = max(cur.terms.items(),
-                                  key=lambda kv: _dominant_exponent(kv[0][1]))
-            mu = tuple(e for e in _dominant_exponent(ex) if e)
+        while cur:
+            (lv, ex), coeff = max(cur.items(),
+                                  key=lambda kv: dominant[kv[0][1]])
+            mu = tuple(e for e in dominant[ex] if e)
             if coeff <= 0:
                 raise RejectError("negative Schur coefficient at %s" % (mu,))
             if mu not in schur_cache:
                 schur_cache[mu] = super_schur(mu, alphabet).shifted(plan.ell)
-            cur = cur - schur_cache[mu].scaled(coeff)
+            for key, v in schur_cache[mu].terms.items():
+                cur[key] = cur.get(key, 0) - coeff * v
+                if not cur[key]:
+                    del cur[key]
             out[mu] = out.get(mu, 0) + coeff
     return out
 

@@ -117,6 +117,18 @@ def q9_always_true(monkeypatch):
         for cond in character.Q_CONDITIONS))
 
 
+def content_packing_base_one_short(monkeypatch):
+    """``s_character`` packing contents in base ``bound`` instead of
+    ``bound + 1``, so a count that reaches the box bound carries into the
+    next letter's digit; ``super_schur`` keeps its base."""
+    packing, caller = character._packing, character.s_character.__code__
+
+    def short(alphabet, base):
+        return packing(alphabet, base - (sys._getframe(1).f_code is caller))
+
+    replace(monkeypatch, character, "_packing", short)
+
+
 class Fault(NamedTuple):
     apply: Callable  # apply(monkeypatch) installs the fault
     checks: tuple    # battery checks that must fail
@@ -162,4 +174,9 @@ FAULTS = {
         ("schur-pieri-classical-4-0-(2,)-2",),
         (INVERSE_ORACLE,
          "test_character::test_schur_expansion_classical_exact")),
+    "content-packing-base-one-short": Fault(
+        content_packing_base_one_short,
+        ("schur-pieri-super-2-2-(1, 1)-2",),
+        ("test_character::test_packed_contents_match_letter_counts",
+         "test_character::test_schur_expansion_super_bounded")),
 }

@@ -2,8 +2,9 @@ import pytest
 
 from ospd import make_alphabet, shape_plan, verify_pieri, weyl_dim_D
 from ospd.character import (content_admits, contents_up_to,
-                            enumerate_recording, in_k_set, k_coefficients,
-                            k_from_character, k_set_via_inverse, s_character,
+                            enumerate_recording, enumerate_ssyt, in_k_set,
+                            k_coefficients, k_from_character,
+                            k_set_via_inverse, s_character,
                             schur_expansion_matches, super_schur)
 from ospd.osptab import RejectError, enumerate_tableaux
 from ospd.tableau import conjugate
@@ -58,6 +59,49 @@ def test_super_schur_guards(sup22):
         super_schur((2, 1), sup22)  # bound required for super
     with pytest.raises(RejectError):
         super_schur((2, 1), sup22, max_degree=2)
+
+
+def letter_counts(alphabet, level, tableaux):
+    """Terms of a weight generating function, each tableau's letters
+    counted one by one: ``tableaux`` yields each tableau's letters."""
+    terms = {}
+    for letters in tableaux:
+        exps = [0] * alphabet.size
+        for a in letters:
+            exps[a.rank] += 1
+        key = (level, tuple(exps))
+        terms[key] = terms.get(key, 0) + 1
+    return terms
+
+
+def test_packed_contents_match_letter_counts():
+    # the super plan reaches a count of the box bound (one odd letter in
+    # every box), one less than the base the contents are packed in
+    for kind, m, n, lam, ell, bound in [("classical", 4, 0, (1, 1), 2, None),
+                                        ("classical", 8, 0, (2,), 3, 8),
+                                        ("super", 2, 2, (1, 1), 2, 8)]:
+        A = make_alphabet(kind, m, n)
+        plan = shape_plan(lam, ell, A)
+        expect = letter_counts(A, ell, (
+            t.letters() for t in enumerate_tableaux(plan, A, bound)))
+        assert s_character(plan, A, bound).terms == expect
+        if kind == "super":
+            assert max(max(ex) for _, ex in expect) == bound
+    for kind, m, n, mus in [
+            ("classical", 4, 0, [(), (1,), (2,), (1, 1), (2, 1), (3, 1, 1),
+                                 (2, 2), (4,)]),
+            ("super", 2, 2, [(1,), (2,), (1, 1), (2, 1), (2, 2),
+                             (1, 1, 1, 1), (3, 2, 1)])]:
+        A = make_alphabet(kind, m, n)
+        for mu in mus:
+            expect = letter_counts(A, 0, (
+                [a for col in cols for a in col]
+                for cols in enumerate_ssyt(mu, A)))
+            assert super_schur(mu, A, max_degree=8).terms == expect, mu
+    # the odd letter 1/2 (rank 2) fills every box of (1,1,1,1): a count of
+    # |mu|, one less than the base
+    assert super_schur((1, 1, 1, 1), A, max_degree=8).terms[
+        0, (0, 0, 4, 0)] == 1
 
 
 def test_s_character_small_classical():
