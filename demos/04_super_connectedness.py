@@ -9,8 +9,7 @@ highest one.  This demo shows both phenomena side by side.
 
 from ospd import make_alphabet, shape_plan, explore
 from ospd.alphabet import parse_root_index
-from ospd.crystal import (f_osp, f_reachable, is_genuine_highest, plan_weight,
-                          tuple_weight)
+from ospd.crystal import f_osp, f_reachable, is_genuine_highest, plan_weight
 from ospd.osptab import highest_weight_tuple
 
 A = make_alphabet("super", 2, 2)
@@ -29,7 +28,7 @@ print("  e.g. lowering vertex %d at colour %s gives %d boxes"
       % (v, name, down.boxes()))
 print("\ndistinguished element:", H.parts)
 print("its weight is Lambda(lambda, ell):",
-      graph.weights[hid] == tuple_weight(A, H) == plan_weight(A, plan))
+      graph.weights[hid] == plan_weight(A, plan))
 
 print("\nraising-frozen vertices:")
 for s in graph.sources:

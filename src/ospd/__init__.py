@@ -6,8 +6,7 @@ from .alphabet import (Alphabet, Letter, RootIndex, Weight, make_alphabet,
 from .character import (CharPoly, k_coefficients, s_character, super_schur,
                         verify_pieri, weyl_dim_D)
 from .crystal import (CrystalGraph, check_axioms, e_osp, e_pair_bar, explore,
-                      f_osp, graph_to_dot, graph_to_json, plan_weight,
-                      tuple_weight)
+                      f_osp, graph_to_dot, graph_to_json, plan_weight)
 from .osptab import (BarPair, OspPair, OspTableauD, RejectError, ShapePlan,
                      SpinColumn, classify_pair, enumerate_tableaux,
                      highest_weight_tuple, is_admissible, lr_split,

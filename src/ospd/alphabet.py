@@ -60,21 +60,11 @@ class Weight(NamedTuple):
     level: int
     counts: tuple
 
-    def __add__(self, other):
-        if len(self.counts) != len(other.counts):
-            raise ValueError("weights over different alphabets")
-        return Weight(self.level + other.level,
-                      tuple(x + y for x, y in zip(self.counts, other.counts)))
-
     def sub(self, other):
         if len(self.counts) != len(other.counts):
             raise ValueError("weights over different alphabets")
         return Weight(self.level - other.level,
                       tuple(x - y for x, y in zip(self.counts, other.counts)))
-
-
-def zero_weight(alphabet):
-    return Weight(0, (0,) * alphabet.size)
 
 
 def _barred_name(k):

@@ -11,8 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .osptab import (RejectError, _Table, all_columns, enumerate_tableaux,
-                     matrix_to_tuple, part_letters, tuple_to_matrix)
+from .osptab import (RejectError, _packing, _Table, all_columns, box_bound,
+                     content_weigher, enumerate_tableaux, matrix_to_tuple,
+                     tuple_to_matrix)
 from .signature import Signature, gl_e_tableau, gl_f_tableau, sigma_tableau
 from .tableau import (conjugate, inverse_rsk, is_partition, row_pair_ok, rsk,
                       straight_is_semistandard)
@@ -56,22 +57,6 @@ class CharPoly:
             xs = {alphabet.letter(i).name: e for i, e in enumerate(ex) if e}
             out.append({"z": lv, "x": xs, "coef": coeff})
         return out
-
-
-def _packing(alphabet, base):
-    """Contents as integers: the count of the letter of rank a is digit a
-    in the given base, so adding packed contents adds the contents while
-    every count stays below the base.  Returns pack(letters), the packed
-    content of a list of letters, and unpack(key), its exponent tuple."""
-    powers = [base ** rank for rank in range(alphabet.size)]
-
-    def pack(letters):
-        return sum(powers[a.rank] for a in letters)
-
-    def unpack(key):
-        return tuple(key // power % base for power in powers)
-
-    return pack, unpack
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +129,10 @@ def super_schur(mu, alphabet, max_degree=None):
 
 def s_character(plan, alphabet, max_boxes=None):
     """The weight generating function of the tableaux of the plan, with the
-    level recorded in the z variable.  Contents are packed in base one more
-    than the box bound, which no count reaches: each component is packed
-    once per call, a tableau's content is the sum of its components', and
-    only the distinct sums are unpacked."""
-    bound = max_boxes if max_boxes is not None else plan.ell * alphabet.size
-    pack, unpack = _packing(alphabet, bound + 1)
-    packed = _Table(lambda part: pack(part_letters(part)))
-    counts = Counter(sum(map(packed.__getitem__, t.parts))
-                     for t in enumerate_tableaux(plan, alphabet, max_boxes))
+    level recorded in the z variable.  Tableaux are counted by their packed
+    contents, and only the distinct contents are unpacked."""
+    weigh, unpack = content_weigher(plan, alphabet, max_boxes)
+    counts = Counter(map(weigh, enumerate_tableaux(plan, alphabet, max_boxes)))
     return CharPoly({(plan.ell, unpack(key)): n for key, n in counts.items()})
 
 
@@ -435,7 +415,7 @@ def verify_pieri(plan, alphabet, max_boxes=None):
     seen = {}
     counts = {}
     elements = enumerate_tableaux(plan, alphabet, max_boxes)
-    bound = max_boxes if max_boxes is not None else plan.ell * alphabet.size
+    bound = box_bound(plan, alphabet, max_boxes)
     report["n"] = len(elements)
     for idx, t in enumerate(elements):
         matrix = tuple_to_matrix(t)
@@ -514,7 +494,7 @@ def k_from_character(plan, alphabet, max_boxes=None):
 def schur_expansion_matches(plan, alphabet, max_boxes=None):
     """Does z^ell * sum K_mu s_mu reproduce the character (truncated for
     bounded runs)?"""
-    bound = max_boxes if max_boxes is not None else plan.ell * alphabet.size
+    bound = box_bound(plan, alphabet, max_boxes)
     k_table = k_coefficients(plan, bound)
     lhs = s_character(plan, alphabet, max_boxes)
     rhs = CharPoly()

@@ -138,9 +138,7 @@ def cmd_char(args):
 
 def cmd_kcoef(args):
     alphabet, plan = _config(args)
-    bound = args.max_boxes
-    if bound is None:
-        bound = plan.ell * alphabet.size
+    bound = osptab.box_bound(plan, alphabet, args.max_boxes)
     contents = comb(bound + plan.ell, plan.ell)
     if contents > KCOEF_MAX_CONTENTS:
         raise RejectError("kcoef up to %d boxes would walk %d contents, more "

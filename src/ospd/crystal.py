@@ -22,34 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .alphabet import (Weight, simple_root_delta, simple_root_indices,
-                       zero_weight)
-from .osptab import (OspTableauD, RejectError, SpinColumn,
+from .alphabet import Weight, simple_root_delta, simple_root_indices
+from .osptab import (OspTableauD, RejectError, _Table, content_weigher,
                      enumerate_tableaux, expected_kinds, highest_ssyt_cols,
-                     part_letters, parts_cols, parts_from_columns, slot_of,
-                     tuple_to_json, tuple_to_matrix)
+                     parts_cols, parts_from_columns, slot_of, tuple_to_json,
+                     tuple_to_matrix)
 from .signature import MINUS, PLUS, survivors
-from .tableau import column_is_valid, letters_weight
+from .tableau import column_is_valid
 
 
 class CrystalError(Exception):
     """An operator left the set it is proven to preserve."""
-
-
-# ---------------------------------------------------------------------------
-# letter atoms
-
-def letter_e(alphabet, color, a):
-    """One step left along the crystal chain of the alphabet; None otherwise."""
-    if color.is_spin:
-        raise ValueError("the spin color does not act on single letters")
-    return alphabet.letter(color.chain - 1) if a.rank == color.chain else None
-
-
-def letter_f(alphabet, color, a):
-    if color.is_spin:
-        raise ValueError("the spin color does not act on single letters")
-    return alphabet.letter(color.chain) if a.rank == color.chain - 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +83,11 @@ def _apply_letters(alphabet, family, color, ranks):
     return (at[minus[-1]] if minus else None, at[plus[0]] if plus else None)
 
 
-def _with_letter(alphabet, color, cols, position, op):
-    """The columns with the letter at ``position`` moved by ``op``,
-    :func:`letter_e` or :func:`letter_f`."""
+def _with_letter(alphabet, cols, position, rank):
+    """The columns with the letter at ``position`` replaced by the letter of
+    ``rank``, one step along the crystal chain of the alphabet."""
     j, i = position
-    col = cols[j][:i] + (op(alphabet, color, cols[j][i]),) + cols[j][i + 1:]
+    col = cols[j][:i] + (alphabet.letter(rank),) + cols[j][i + 1:]
     if not column_is_valid(col):
         raise AssertionError("letter move broke a column")
     return cols[:j] + (col,) + cols[j + 1:]
@@ -133,9 +116,9 @@ def _cols_images(alphabet, family, color, cols, letters):
     positions, ranks = letters
     e_at, f_at = _apply_letters(alphabet, family, color, ranks)
     if e_at is not None:
-        up = _with_letter(alphabet, color, cols, positions[e_at], letter_e)
+        up = _with_letter(alphabet, cols, positions[e_at], color.chain - 1)
     if f_at is not None:
-        down = _with_letter(alphabet, color, cols, positions[f_at], letter_f)
+        down = _with_letter(alphabet, cols, positions[f_at], color.chain)
     return up, down
 
 
@@ -185,19 +168,6 @@ def f_osp(alphabet, family, color, tt):
 
 # ---------------------------------------------------------------------------
 # weights
-
-def part_weight(alphabet, part):
-    lv = 1 if isinstance(part, SpinColumn) else 2
-    w = letters_weight(alphabet, part_letters(part))
-    return Weight(lv, w.counts)
-
-
-def tuple_weight(alphabet, tt):
-    total = zero_weight(alphabet)
-    for part in tt.parts:
-        total = total + part_weight(alphabet, part)
-    return total
-
 
 def plan_weight(alphabet, plan):
     """The target weight Lambda(lambda, ell) in the alphabet's coordinates."""
@@ -257,7 +227,8 @@ def explore(plan, alphabet, family, max_boxes=None):
     component leaves its class.  Raising images must stay inside the set
     and are kept in ``raised``; lowering images may leave it only through
     the box bound of a super run, as truncated edges that are not followed.
-    Each distinct component is weighed once per call.
+    A vertex's weight is its packed content at the plan's level, the sum
+    of its components' levels, with one Weight per distinct content.
     """
     vertices = enumerate_tableaux(plan, alphabet, max_boxes)
     graph = CrystalGraph(alphabet, family, plan, max_boxes, vertices, [])
@@ -300,11 +271,9 @@ def explore(plan, alphabet, family, max_boxes=None):
             graph.sources.append(src)
     graph.components = len({find(x) for x in range(len(vertices))})
     del cols, index  # freed before the weights are built: a lower peak
-    weight = {part: part_weight(alphabet, part)
-              for part in {part for t in vertices for part in t.parts}}
-    zero = zero_weight(alphabet)
-    graph.weights = [sum(map(weight.__getitem__, t.parts), zero)
-                     for t in vertices]
+    weigh, unpack = content_weigher(plan, alphabet, max_boxes)
+    weight = _Table(lambda key: Weight(plan.ell, unpack(key)))
+    graph.weights = [weight[weigh(t)] for t in vertices]
     return graph
 
 
@@ -313,8 +282,7 @@ def check_axioms(graph):
     undoes every edge, read from the raising images ``explore`` recorded,
     and every edge lowers the weight by its simple root."""
     alphabet = graph.alphabet
-    colors = {c.name: (Weight(0, simple_root_delta(alphabet, c).counts),
-                       raised)
+    colors = {c.name: (simple_root_delta(alphabet, c), raised)
               for c, raised in zip(simple_root_indices(alphabet),
                                    graph.raised)}
     bad = []

@@ -626,10 +626,7 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
     Classical alphabets are intrinsically finite and may omit the bound;
     super alphabets require one.
     """
-    if max_boxes is None:
-        if alphabet.kind == "super":
-            raise RejectError("super alphabets require max_boxes")
-        max_boxes = plan.ell * alphabet.size
+    max_boxes = box_bound(plan, alphabet, max_boxes)
     kinds = expected_kinds(plan)
     if len(kinds) > MAX_SLOTS:
         raise RejectError("the plan has %d slots, more than %d"
@@ -685,6 +682,48 @@ def enumerate_tableaux(plan, alphabet, max_boxes=None):
     del extend  # the recursive closure is a cycle that would keep the tables
     results.sort(key=lambda result: result[0])
     return [OspTableauD(parts, plan) for _, parts in results]
+
+
+def box_bound(plan, alphabet, max_boxes):
+    """The box bound of a run: ``max_boxes``, or when it is omitted the
+    ell * |alphabet| boxes that bound every tableau of a classical plan.
+    Super alphabets have no such bound and must give one."""
+    if max_boxes is not None:
+        return max_boxes
+    if alphabet.kind == "super":
+        raise RejectError("super alphabets require max_boxes")
+    return plan.ell * alphabet.size
+
+
+def _packing(alphabet, base):
+    """Contents as integers: the count of the letter of rank a is digit a
+    in the given base, so adding packed contents adds the contents while
+    every count stays below the base.  Returns pack(letters), the packed
+    content of a list of letters, and unpack(key), its exponent tuple."""
+    powers = [base ** rank for rank in range(alphabet.size)]
+
+    def pack(letters):
+        return sum(powers[a.rank] for a in letters)
+
+    def unpack(key):
+        return tuple(key // power % base for power in powers)
+
+    return pack, unpack
+
+
+def content_weigher(plan, alphabet, max_boxes):
+    """The content of the plan's tableaux within the box bound as one
+    integer: returns weigh(t), the sum of the packed contents of t's
+    components, each component packed once per weigher, and unpack(key),
+    the letter counts of a key.  The base is one more than the box bound,
+    which no count reaches."""
+    pack, unpack = _packing(alphabet, box_bound(plan, alphabet, max_boxes) + 1)
+    packed = _Table(lambda part: pack(part_letters(part)))
+
+    def weigh(t):
+        return sum(map(packed.__getitem__, t.parts))
+
+    return weigh, unpack
 
 
 def _slot_floor(kind, param):

@@ -74,14 +74,6 @@ def is_partition(shape):
     return all(a >= b >= 0 for a, b in zip(shape, shape[1:] + (0,)))
 
 
-def letters_weight(alphabet, letters):
-    from .alphabet import Weight
-    counts = [0] * alphabet.size
-    for a in letters:
-        counts[a.rank] += 1
-    return Weight(0, tuple(counts))
-
-
 def cols_to_rows(cols):
     """Column-major straight tableau to row-major."""
     if not cols:

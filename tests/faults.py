@@ -118,15 +118,18 @@ def q9_always_true(monkeypatch):
 
 
 def content_packing_base_one_short(monkeypatch):
-    """``s_character`` packing contents in base ``bound`` instead of
-    ``bound + 1``, so a count that reaches the box bound carries into the
-    next letter's digit; ``super_schur`` keeps its base."""
-    packing, caller = character._packing, character.s_character.__code__
+    """``s_character``'s weigher packing contents in base ``bound`` instead
+    of ``bound + 1``, so a count that reaches the box bound carries into the
+    next letter's digit; ``explore``'s weigher and ``super_schur`` keep
+    their base."""
+    packing = osptab._packing
+    caller = character.s_character.__code__, osptab.content_weigher.__code__
 
     def short(alphabet, base):
-        return packing(alphabet, base - (sys._getframe(1).f_code is caller))
+        frames = sys._getframe(2).f_code, sys._getframe(1).f_code
+        return packing(alphabet, base - (frames == caller))
 
-    replace(monkeypatch, character, "_packing", short)
+    replace(monkeypatch, osptab, "_packing", short)
 
 
 class Fault(NamedTuple):

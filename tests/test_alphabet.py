@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ospd import make_alphabet, simple_root_indices
-from ospd.alphabet import EVEN, ODD, Weight, simple_root_delta, zero_weight
+from ospd.alphabet import EVEN, ODD, simple_root_delta
 from ospd.osptab import RejectError, SpinColumn, shape_plan, validate
 
 from conftest import letters
@@ -71,20 +71,6 @@ def test_simple_root_indices():
     assert idx[0].is_spin and idx[0].name == "b3"
     assert [i.name for i in idx] == ["b3", "b2", "b1", "0", "1/2", "3/2"]
     assert [i.odd for i in idx] == [False, False, False, True, False, False]
-
-
-def test_weight_addition_monoid(rng):
-    a = make_alphabet("super", 3, 2)
-    ws = [Weight(rng.randrange(-3, 4),
-                 tuple(rng.randrange(0, 5) for _ in range(a.size)))
-          for _ in range(20)]
-    zero = zero_weight(a)
-    for x in ws:
-        assert x + zero == x
-    for x, y in zip(ws, ws[1:]):
-        assert x + y == y + x
-    for x, y, z in zip(ws, ws[1:], ws[2:]):
-        assert (x + y) + z == x + (y + z)
 
 
 def test_simple_root_deltas():

@@ -1,6 +1,7 @@
 import pytest
 
-from ospd import make_alphabet, shape_plan, verify_pieri, weyl_dim_D
+from ospd import explore, make_alphabet, shape_plan, verify_pieri, weyl_dim_D
+from ospd.alphabet import Weight
 from ospd.character import (content_admits, contents_up_to,
                             enumerate_recording, enumerate_ssyt, in_k_set,
                             k_coefficients, k_from_character,
@@ -61,25 +62,32 @@ def test_super_schur_guards(sup22):
         super_schur((2, 1), sup22, max_degree=2)
 
 
+def content(alphabet, letters):
+    """The count of each letter, by rank, counted one by one."""
+    exps = [0] * alphabet.size
+    for a in letters:
+        exps[a.rank] += 1
+    return tuple(exps)
+
+
 def letter_counts(alphabet, level, tableaux):
     """Terms of a weight generating function, each tableau's letters
     counted one by one: ``tableaux`` yields each tableau's letters."""
     terms = {}
     for letters in tableaux:
-        exps = [0] * alphabet.size
-        for a in letters:
-            exps[a.rank] += 1
-        key = (level, tuple(exps))
+        key = (level, content(alphabet, letters))
         terms[key] = terms.get(key, 0) + 1
     return terms
 
 
 def test_packed_contents_match_letter_counts():
     # the super plan reaches a count of the box bound (one odd letter in
-    # every box), one less than the base the contents are packed in
-    for kind, m, n, lam, ell, bound in [("classical", 4, 0, (1, 1), 2, None),
-                                        ("classical", 8, 0, (2,), 3, 8),
-                                        ("super", 2, 2, (1, 1), 2, 8)]:
+    # every box), one less than the base the contents are packed in; the
+    # D4 and 2|2 graphs weigh their vertices through the same packing
+    for kind, m, n, lam, ell, bound, graph in [
+            ("classical", 4, 0, (1, 1), 2, None, True),
+            ("classical", 8, 0, (2,), 3, 8, False),
+            ("super", 2, 2, (1, 1), 2, 8, True)]:
         A = make_alphabet(kind, m, n)
         plan = shape_plan(lam, ell, A)
         expect = letter_counts(A, ell, (
@@ -87,6 +95,10 @@ def test_packed_contents_match_letter_counts():
         assert s_character(plan, A, bound).terms == expect
         if kind == "super":
             assert max(max(ex) for _, ex in expect) == bound
+        if graph:
+            g = explore(plan, A, kind, bound)
+            assert g.weights == [Weight(ell, content(A, t.letters()))
+                                 for t in g.vertices]
     for kind, m, n, mus in [
             ("classical", 4, 0, [(), (1,), (2,), (1, 1), (2, 1), (3, 1, 1),
                                  (2, 2), (4,)]),

@@ -1,17 +1,37 @@
+import itertools
+
 import pytest
 
 from ospd import crystal, make_alphabet, shape_plan
-from ospd.alphabet import parse_root_index, simple_root_delta, simple_root_indices
+from ospd.alphabet import (Weight, parse_root_index, simple_root_delta,
+                           simple_root_indices)
 from ospd.crystal import (CrystalError, _cols_op, _parts_op, check_axioms,
                           e_osp, e_pair_bar, explore, f_osp, f_reachable,
                           graph_to_dot, graph_to_json, is_genuine_highest,
-                          letter_e, letter_f, plan_weight, tuple_weight)
+                          plan_weight)
 from ospd.osptab import (SpinColumn, classify_pair, enumerate_tableaux,
                          highest_weight_tuple, osp_pairs, part_cols,
                          part_from_cols, slot_of)
-from ospd.tableau import letters_weight
 
 from conftest import letters, random_column
+
+
+def chain_step(A, color, a, op):
+    """One step of a letter along the crystal chain of the alphabet: raising
+    takes the letter of rank c to rank c - 1 under colour c, lowering takes
+    rank c - 1 to rank c; None for every other letter."""
+    c = color.chain
+    if op == "e":
+        return A.letter(c - 1) if a.rank == c else None
+    return A.letter(c) if a.rank == c - 1 else None
+
+
+def content(A, word):
+    """The letter counts of a word, indexed by rank."""
+    counts = [0] * A.size
+    for a in word:
+        counts[a.rank] += 1
+    return tuple(counts)
 
 
 def word_op(A, family, color, word, op):
@@ -32,28 +52,30 @@ def word_op(A, family, color, word, op):
 def test_letter_chain_super():
     A = make_alphabet("super", 3, 2)
     zero = parse_root_index(A, "0")
-    assert letter_f(A, zero, A.parse("b1")) == A.parse("1/2")
-    assert letter_e(A, zero, A.parse("1/2")) == A.parse("b1")
+    assert chain_step(A, zero, A.parse("b1"), "f") == A.parse("1/2")
+    assert chain_step(A, zero, A.parse("1/2"), "e") == A.parse("b1")
     b2 = parse_root_index(A, "b2")
-    assert letter_f(A, b2, A.parse("b3")) == A.parse("b2")
-    assert letter_e(A, b2, A.parse("b3")) is None  # minimum of its string
+    assert chain_step(A, b2, A.parse("b3"), "f") == A.parse("b2")
+    assert chain_step(A, b2, A.parse("b3"), "e") is None  # minimum of its string
 
 
 def test_letter_chain_classical():
     A = make_alphabet("classical", 3, 2)
-    assert letter_f(A, parse_root_index(A, "0"), A.parse("b1")) == A.parse("1")
-    assert letter_f(A, parse_root_index(A, "1"), A.parse("1")) == A.parse("2")
-    assert letter_e(A, parse_root_index(A, "b2"), A.parse("b3")) is None
+    assert chain_step(A, parse_root_index(A, "0"), A.parse("b1"), "f") == \
+        A.parse("1")
+    assert chain_step(A, parse_root_index(A, "1"), A.parse("1"), "f") == \
+        A.parse("2")
+    assert chain_step(A, parse_root_index(A, "b2"), A.parse("b3"), "e") is None
 
 
 def test_word_ops_single_letters_reduce_to_letter_ops():
     for kind in ("classical", "super"):
         A = make_alphabet(kind, 3, 2)
         for color in simple_root_indices(A)[1:]:
-            for a in A.letters:
-                up = word_op(A, kind, color, (a,), "e")
-                assert up == (None if letter_e(A, color, a) is None
-                              else (letter_e(A, color, a),))
+            for a, op in itertools.product(A.letters, "ef"):
+                step = chain_step(A, color, a, op)
+                assert word_op(A, kind, color, (a,), op) == \
+                    (None if step is None else (step,))
 
 
 def test_word_ops_inverse_and_weight(rng):
@@ -69,9 +91,8 @@ def test_word_ops_inverse_and_weight(rng):
                 continue
             assert word_op(A, kind, color, up, "f") == w
             root = simple_root_delta(A, color)
-            assert letters_weight(A, up).counts == \
-                tuple(x + y for x, y in zip(letters_weight(A, w).counts,
-                                            root.counts))
+            assert content(A, up) == \
+                tuple(x + y for x, y in zip(content(A, w), root.counts))
 
 
 def test_reading_switch_mirrors():
@@ -145,7 +166,8 @@ def test_highest_tuple_is_frozen():
             H = highest_weight_tuple(plan, A, kind)
             assert all(e_osp(A, kind, color, H) is None
                        for color in simple_root_indices(A))
-            assert tuple_weight(A, H) == plan_weight(A, plan)
+            assert Weight(plan.ell, content(A, H.letters())) == \
+                plan_weight(A, plan)
 
 
 def test_explore_spin_crystal_d4(cl40):

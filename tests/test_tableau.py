@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospd import inverse_rsk, make_alphabet, rsk
-from ospd.tableau import (column_is_valid, insert_letter, letters_weight,
-                          make_matrix, row_pair_ok, sorted_column,
-                          straight_is_semistandard, straight_shape)
+from ospd.tableau import (column_is_valid, insert_letter, make_matrix,
+                          row_pair_ok, sorted_column, straight_is_semistandard,
+                          straight_shape)
 from ospd.osptab import SpinColumn, all_columns, classify_pair, part_letters
 
 from conftest import letters, random_matrix
@@ -55,9 +55,8 @@ def test_word_of_worked_example(sup46):
         (letters(sup46, "b4", "b3"), letters(sup46, "b4"))
 
 
-def test_empty_word_and_weight(cl40):
+def test_empty_word_and_weight():
     assert part_letters(SpinColumn(())) == ()
-    assert letters_weight(cl40, ()).counts == (0, 0, 0, 0)
 
 
 def test_insert_into_empty(cl40):
