@@ -23,9 +23,7 @@ for mu, k in sorted(table.items()):
     print("  K_%s = %d" % (mu or (0,), k))
 
 big = make_alphabet("classical", 8, 0)
-peeled = {mu: c for mu, c in k_from_character(shape_plan(lam, ell, big), big,
-                                              bound).items()
-          if sum(mu) <= bound}
+peeled = k_from_character(shape_plan(lam, ell, big), big, bound)
 print("\npeeling the classical character gives the same table:",
       peeled == table)
 
@@ -45,9 +43,8 @@ rhs = CharPoly()
 for mu, c in table.items():
     if len(mu) > sup.m and mu[sup.m] > sup.n:
         continue
-    rhs = rhs + super_schur(mu, sup, max_degree=bound).shifted(ell).scaled(c)
-print("super character equals the transferred expansion:",
-      lhs == rhs.truncated(bound))
+    rhs = rhs + super_schur(mu, sup).shifted(ell).scaled(c)
+print("super character equals the transferred expansion:", lhs == rhs)
 
 report = verify_pieri(plan_s, sup, bound)
 print("Pieri bijection report: ok=%s on %d elements" %

@@ -41,10 +41,6 @@ class CharPoly:
         return CharPoly({(lv + level, ex): v
                          for (lv, ex), v in self.terms.items()})
 
-    def truncated(self, max_degree):
-        return CharPoly({(lv, ex): v for (lv, ex), v in self.terms.items()
-                         if sum(ex) <= max_degree})
-
     def __eq__(self, other):
         return isinstance(other, CharPoly) and self.terms == other.terms
 
@@ -91,24 +87,18 @@ def enumerate_ssyt(mu, alphabet):
     return results
 
 
-def super_schur(mu, alphabet, max_degree=None):
+def super_schur(mu, alphabet):
     """The Schur function of mu: the weight generating function of the
-    semistandard tableaux of shape mu.  Homogeneous of degree |mu|; the
-    optional bound is an API guard only.
+    semistandard tableaux of shape mu, which are finitely many over a finite
+    alphabet.  Homogeneous of degree |mu|.
 
     Summed column by column, left to right, over the rule of
     ``enumerate_ssyt`` (``row_pair_ok`` between adjacent columns): the
     state maps each last column to the contents, packed in base |mu| + 1,
     of the partial tableaux that end in it, with their counts."""
     mu = tuple(x for x in mu if x)
-    size = sum(mu)
-    if alphabet.kind == "super":
-        if max_degree is None:
-            raise RejectError("super alphabets require max_degree")
-        if max_degree < size:
-            raise RejectError("max_degree below |mu|")
     heights, columns = _ssyt_columns(mu, alphabet)
-    pack, unpack = _packing(alphabet, size + 1)
+    pack, unpack = _packing(alphabet, sum(mu) + 1)
     state = {(): {0: 1}}  # the empty tableau ends in the empty column
     for h in heights:
         step = {}
@@ -492,25 +482,19 @@ def k_from_character(plan, alphabet, max_boxes=None):
 
 
 def schur_expansion_matches(plan, alphabet, max_boxes=None):
-    """Does z^ell * sum K_mu s_mu reproduce the character (truncated for
-    bounded runs)?"""
-    bound = box_bound(plan, alphabet, max_boxes)
-    k_table = k_coefficients(plan, bound)
+    """Does z^ell * sum K_mu s_mu reproduce the character?  Both sides stop
+    at the box bound: s_mu has degree |mu|, and a tableau of N boxes has
+    weight of degree N."""
+    k_table = k_coefficients(plan, box_bound(plan, alphabet, max_boxes))
     lhs = s_character(plan, alphabet, max_boxes)
     rhs = CharPoly()
     for mu, coeff in k_table.items():
         if alphabet.kind == "super":
             if len(mu) > alphabet.m and mu[alphabet.m] > alphabet.n:
                 continue
-            sm = super_schur(mu, alphabet, max_degree=max(bound, sum(mu)))
-        else:
-            if len(mu) > alphabet.size:
-                continue
-            sm = super_schur(mu, alphabet)
-        rhs = rhs + sm.shifted(plan.ell).scaled(coeff)
-    if max_boxes is not None:
-        rhs = rhs.truncated(max_boxes)
-        lhs = lhs.truncated(max_boxes)
+        elif len(mu) > alphabet.size:
+            continue
+        rhs = rhs + super_schur(mu, alphabet).shifted(plan.ell).scaled(coeff)
     return lhs == rhs
 
 

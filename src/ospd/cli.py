@@ -183,11 +183,11 @@ def _check_worked_examples():
     return bool(ok), {}
 
 
-def _check_classical_crystal(m, n, lam, ell):
-    alphabet = make_alphabet("classical", m, n)
+def _check_classical_crystal(m, lam, ell):
+    alphabet = make_alphabet("classical", m, 0)
     plan = osptab.shape_plan(lam, ell, alphabet)
     graph = crystal.explore(plan, alphabet, "classical")
-    dim = character.weyl_dim_D(ell, lam, m + n)
+    dim = character.weyl_dim_D(ell, lam, m)
     bad = crystal.check_axioms(graph)
     hw_ok = (len(graph.sources) == 1 and
              graph.weights[graph.sources[0]] == crystal.plan_weight(alphabet, plan))
@@ -249,7 +249,7 @@ def _verify_checks(seed):
                         (4, (2,), 2), (3, (1,), 3), (3, (2,), 3)]:
         checks.append(("classical-crystal-D%d-%s-%d" % (m, lam, ell),
                        lambda m=m, lam=lam, ell=ell:
-                       _check_classical_crystal(m, 0, lam, ell)))
+                       _check_classical_crystal(m, lam, ell)))
     checks.append(("super-closure-2|2-(1,1)-2",
                    lambda: _check_super_closure(2, 2, (1, 1), 2)))
     for kind, m, n, lam, ell, bound in [
@@ -316,10 +316,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except RejectError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # RejectError is one
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_ERROR
 

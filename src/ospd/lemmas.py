@@ -33,7 +33,7 @@ def _remove_one(col, letter):
 
 
 def _top_domino(col):
-    return len(col) >= 2 and col[0].rank == 0 and col[1].rank == 1
+    return _spin_sign(col) == "-"
 
 
 def _count_barred_pair(col):

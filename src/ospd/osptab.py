@@ -55,10 +55,6 @@ class BarPair(NamedTuple):
     def boxes(self):
         return len(self.left) + len(self.right)
 
-    def shape(self):
-        c = len(self.left) - 1
-        return (0, len(self.right) - len(self.left), c + 1)
-
 
 class SpinColumn(NamedTuple):
     col: tuple
@@ -456,7 +452,7 @@ class ShapePlan(NamedTuple):
     heights: tuple   # a_1 .. a_M
 
     def boxes_lower_bound(self):
-        return sum(self.heights) + (2 * self.q + self.r if self.sign == "-" else 0)
+        return sum(_slot_floor(*slot) for slot in expected_kinds(self))
 
 
 def shape_plan(lam, ell, alphabet=None):
@@ -610,9 +606,7 @@ def osp_pairs(alphabet, a, budget, bar=False):
 
 
 def _part_sort_key(part):
-    return (part.boxes(),
-            tuple(a.rank for a in part_letters(part)),
-            isinstance(part, BarPair))
+    return part.boxes(), tuple(a.rank for a in part_letters(part))
 
 
 def enumerate_tableaux(plan, alphabet, max_boxes=None):

@@ -122,14 +122,12 @@ def content_packing_base_one_short(monkeypatch):
     of ``bound + 1``, so a count that reaches the box bound carries into the
     next letter's digit; ``explore``'s weigher and ``super_schur`` keep
     their base."""
-    packing = osptab._packing
-    caller = character.s_character.__code__, osptab.content_weigher.__code__
+    def short(plan, alphabet, max_boxes):
+        # the weigher's base is one more than the bound it is given
+        bound = osptab.box_bound(plan, alphabet, max_boxes)
+        return osptab.content_weigher(plan, alphabet, bound - 1)
 
-    def short(alphabet, base):
-        frames = sys._getframe(2).f_code, sys._getframe(1).f_code
-        return packing(alphabet, base - (frames == caller))
-
-    replace(monkeypatch, osptab, "_packing", short)
+    monkeypatch.setattr(character, "content_weigher", short)
 
 
 class Fault(NamedTuple):

@@ -254,12 +254,32 @@ MISSING = "<missing directory>"  # replaced by one under tmp_path
      "102091 columns"),
     (("char", "--family", "super", "-m", "2", "-n", "30", "--lambda", "0",
       "--ell", "1", "--max-boxes", "6"), "lower --max-boxes"),
+    (("dims", "-m", "1"), "m must be at least 2"),
 ])
 def test_usage_errors_exit_2(args, message, tmp_path):
     missing = str(tmp_path / "missing")
     code, out, err = run_cli(*(a.replace(MISSING, missing) for a in args))
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_output_file_gets_the_stdout_bytes(tmp_path):
+    args = [sys.executable, "-m", "ospd.cli", "enumerate", *PLAN,
+            "--max-boxes", "5"]
+    shown = subprocess.run(args, capture_output=True)
+    path = tmp_path / "out.jsonl"
+    written = subprocess.run(args + ["--output", str(path)],
+                             capture_output=True)
+    assert shown.returncode == written.returncode == 0
+    assert written.stdout == b"" and shown.stdout
+    assert path.read_bytes() == shown.stdout
+
+
+def test_trailing_zero_parts_are_dropped():
+    plan = ("enumerate", "-m", "3", "--ell", "2", "--lambda")
+    code, out, _ = run_cli(*plan, "1")
+    assert code == 0 and out
+    assert run_cli(*plan, "1,0") == (code, out, "")
 
 
 @settings(max_examples=200, deadline=None)

@@ -226,8 +226,9 @@ def test_admissibility_height_violation(cl40):
 def test_admissibility_refuses_kinds_without_a_relation(cl40):
     pair = classify_pair(letters(cl40, "b4", "b3"), letters(cl40, "b4", "b3"), 0)
     bar = make_bar_pair(letters(cl40, "b4"), letters(cl40, "b4"))
+    one_pair = osp_pairs(cl40, 1, 4)[0]  # a = 1 > 0, the a of pair
     for t, s in [(bar, pair), (bar, SpinColumn(())), (SpinColumn(()), pair),
-                 (pair, "not a component")]:
+                 (pair, "not a component"), (pair, one_pair)]:
         with pytest.raises(RejectError):
             is_admissible(t, s)
 
@@ -380,6 +381,15 @@ def test_enumeration_agrees_with_the_public_relation(kind, m, n, lam, ell,
         assert validate(t.parts, plan, A) == t
     if kind == "classical":
         assert len(out) == weyl_dim_D(ell, lam, m + n)
+
+
+@pytest.mark.parametrize("kind,m,n,lam,ell,bound", ENUMERATED_PLANS)
+def test_boxes_lower_bound_is_the_fewest_boxes(kind, m, n, lam, ell, bound):
+    A = make_alphabet(kind, m, n)
+    plan = shape_plan(lam, ell, A)
+    floor = plan.boxes_lower_bound()
+    assert enumerate_tableaux(plan, A, floor - 1) == []
+    assert min(t.boxes() for t in enumerate_tableaux(plan, A, floor)) == floor
 
 
 @pytest.mark.parametrize("lam,ell", [((2, 2), 4), ((2,), 3)],

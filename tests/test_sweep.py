@@ -9,7 +9,8 @@ from ospd.osptab import highest_weight_tuple
 from recording_oracle import partitions_up_to
 
 EXOTIC = (((3,), 3), ((3,), 4), ((2, 2), 4), ((3, 1), 4), ((1,), 3),
-          ((2, 1), 3), ((1, 1), 4), ((2,), 4), ((), 3), ((), 4))
+          ((2, 1), 3), ((1, 1), 4), ((2,), 4), ((), 3), ((), 4),
+          ((1, 1, 1), 2), ((2, 1, 1), 4))  # the last two: rows below row m
 
 
 def test_every_small_plan_matches_weyl_dimension():
@@ -32,7 +33,7 @@ def test_every_small_plan_matches_weyl_dimension():
 
 
 def test_exotic_classical_plans_full_gauntlet():
-    for m, n in [(3, 0), (2, 1)]:
+    for m, n in [(3, 0), (2, 1), (2, 2)]:
         alphabet = make_alphabet("classical", m, n)
         for lam, ell in EXOTIC:
             if len(lam) > m + n or weyl_dim_D(ell, lam, m + n) > 500:
@@ -48,7 +49,8 @@ def test_exotic_classical_plans_full_gauntlet():
 def test_exotic_super_plans_closed_and_connected(sup22):
     # fake raising-frozen elements appear on several of these plans; the
     # genuine highest weight element is unique every time
-    for lam, ell in [((3,), 3), ((2, 2), 4), ((2, 1), 3), ((), 3)]:
+    for lam, ell in [((3,), 3), ((2, 2), 4), ((2, 1), 3), ((), 3),
+                     ((1, 1, 1), 2)]:
         plan = shape_plan(lam, ell, sup22)
         graph = explore(plan, sup22, "super", max_boxes=8)
         H = highest_weight_tuple(plan, sup22, "super")
