@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .osptab import (RejectError, _packing, _Table, all_columns, box_bound,
                      content_weigher, enumerate_tableaux, matrix_to_tuple,
-                     tuple_to_matrix)
+                     tuple_to_matrix, validate)
 from .signature import Signature, gl_e_tableau, gl_f_tableau, sigma_tableau
 from .tableau import (conjugate, inverse_rsk, is_partition, row_pair_ok, rsk,
                       straight_is_semistandard)
@@ -135,7 +135,7 @@ class QContext:
     Columns are numbered so the spin slot (present when r = 1) is column 1
     and the pair T_j occupies columns (r + 2j - 1, r + 2j); the color inside
     the pair T_{q+k} is then c_k = r + 2q + 2k - 1 and the boundary color
-    between the pair block and the middle block is r + 2q.
+    between the pair block and the middle block is ``top`` = r + 2q.
     """
 
     def __init__(self, plan, q_cols):
@@ -148,24 +148,22 @@ class QContext:
                     raise RejectError("entry %r outside 1..ell" % (e,))
                 counts[e] += 1
         self.m = counts  # m[i] = |column i|, 1-based
-        self.s = plan.r
+        self.top = plan.r + 2 * plan.q
+        self.boundary = plan.M >= 1 and self.top >= 1
         self.r0 = 1 if plan.sign == "-" else 0
         self.rk = {}
 
     def c_within(self, k):
-        return self.s + 2 * self.plan.q + 2 * k - 1
+        return self.top + 2 * k - 1
 
     def c_cross(self, k):
-        return self.s + 2 * self.plan.q + 2 * k
+        return self.top + 2 * k
 
     def mL(self, k):
         return self.m[self.c_within(k) + 1]
 
     def mR(self, k):
         return self.m[self.c_within(k)]
-
-    def middle_top(self):
-        return self.s + 2 * self.plan.q
 
     def a(self, k):
         return self.plan.heights[k - 1]
@@ -194,15 +192,10 @@ def q3(ctx):
     """Signatures inside each pair; determines the residues r_k."""
     for k in range(1, ctx.plan.M + 1):
         sig = sigma_tableau(ctx.q, ctx.c_within(k))
-        base = ctx.mR(k) - ctx.mL(k) + ctx.a(k)
-        hit = None
-        for r in (0, 1):
-            if sig == Signature(ctx.a(k) - r, base - r):
-                hit = r
-                break
-        if hit is None:
+        r = ctx.a(k) - sig.p  # sigma must be (a_k - r, m_R - m_L + a_k - r)
+        if r not in (0, 1) or sig.q != ctx.mR(k) - ctx.mL(k) + ctx.a(k) - r:
             return False
-        ctx.rk[k] = hit
+        ctx.rk[k] = r
     return True
 
 
@@ -247,82 +240,74 @@ def q6(ctx):
 def q7(ctx):
     """Sizes and parities of the middle columns: even heights on the plus
     side, odd (hence positive) heights on the minus side."""
-    for i in range(1, ctx.middle_top() + 1):
-        if ctx.r0 == 0:
-            if ctx.m[i] % 2:
-                return False
-        else:
-            if ctx.m[i] <= 0 or ctx.m[i] % 2 == 0:
-                return False
-    return True
+    return all(ctx.m[i] % 2 == ctx.r0 for i in range(1, ctx.top + 1))
 
 
 def q8(ctx):
-    return all(ctx.m[i + 1] <= ctx.m[i] for i in range(1, ctx.middle_top()))
+    return all(ctx.m[i + 1] <= ctx.m[i] for i in range(1, ctx.top))
 
 
 def q9(ctx):
-    for i in range(1, ctx.middle_top()):
-        if sigma_tableau(ctx.q, i) != Signature(0, ctx.m[i] - ctx.m[i + 1]):
-            return False
-    return True
-
-
-def _has_boundary(ctx):
-    return ctx.plan.M >= 1 and ctx.middle_top() >= 1
+    return all(sigma_tableau(ctx.q, i) == Signature(0, ctx.m[i] - ctx.m[i + 1])
+               for i in range(1, ctx.top))
 
 
 def q10(ctx):
-    if not _has_boundary(ctx):
+    if not ctx.boundary:
         return True
     r1 = ctx.residue(1)
-    return ctx.mR(1) <= ctx.m[ctx.middle_top()] - ctx.r0 + 2 * ctx.r0 * r1
+    return ctx.mR(1) <= ctx.m[ctx.top] - ctx.r0 + 2 * ctx.r0 * r1
 
 
 def q11(ctx):
-    if not _has_boundary(ctx):
+    if not ctx.boundary:
         return True
     r1 = ctx.residue(1)
     cur = gl_f_tableau(ctx.q, ctx.c_within(1), ctx.r0 * r1)
     if cur is None:
         return False
-    want = Signature(0, ctx.m[ctx.middle_top()] - ctx.mR(1) + ctx.r0 * r1)
-    return sigma_tableau(cur, ctx.middle_top()) == want
+    want = Signature(0, ctx.m[ctx.top] - ctx.mR(1) + ctx.r0 * r1)
+    return sigma_tableau(cur, ctx.top) == want
 
 
 def q12(ctx):
-    if not _has_boundary(ctx):
+    if not ctx.boundary:
         return True
     r1 = ctx.residue(1)
     cur = gl_e_tableau(ctx.q, ctx.c_within(1), ctx.a(1) - r1)
     if cur is None:
         return False
-    sig = sigma_tableau(cur, ctx.middle_top())
+    sig = sigma_tableau(cur, ctx.top)
     first = ctx.a(1) - ctx.r0 + ctx.r0 * r1
     p = first - sig.p
-    want = (ctx.m[ctx.middle_top()] - ctx.mR(1) - ctx.r0
-            + r1 * (ctx.r0 + 1) - p)
+    want = ctx.m[ctx.top] - ctx.mR(1) - ctx.r0 + r1 * (ctx.r0 + 1) - p
     return p >= 0 and sig.q == want
 
 
 Q_CONDITIONS = (q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12)
 
+# the conditions that read only the content of Q, ctx.m
+CONTENT_CONDITIONS = (q1, q2, q7, q8)
 
-def in_k_set(plan, q_cols):
-    """Membership of a recording tableau in the branching set of the plan."""
-    ctx = QContext(plan, q_cols)
+
+def _all_hold(ctx, conditions):
+    """Do all the conditions hold?  A RejectError means no."""
     try:
-        return all(cond(ctx) for cond in Q_CONDITIONS)
+        return all(cond(ctx) for cond in conditions)
     except RejectError:
         return False
 
 
+def in_k_set(plan, q_cols):
+    """Membership of a recording tableau in the branching set of the plan."""
+    return _all_hold(QContext(plan, q_cols), Q_CONDITIONS)
+
+
 def content_admits(plan, content):
-    """Do (Q1), (Q2), (Q7) and (Q8), which read only the content of Q, hold?
-    They are evaluated on the one-row tableau of that content."""
+    """Do the content clauses hold?  They are evaluated on the one-row
+    tableau of that content."""
     row = tuple((i,) for i, c in enumerate(content, 1) for _ in range(c))
-    ctx = QContext(plan, row)
-    return q1(ctx) and q2(ctx) and q7(ctx) and q8(ctx)
+    return _all_hold(QContext(plan, row), CONTENT_CONDITIONS)
 
 
 def contents_up_to(total, ell):
@@ -362,13 +347,14 @@ def _add_strip(cols, letter, count):
 def k_coefficients(plan, max_size):
     """The branching multiplicities K_mu for |mu| <= max_size: the recording
     tableaux of each content that passes the content clauses, counted by
-    shape through all twelve conditions."""
+    shape through the other conditions, which read the tableau itself."""
+    per_tableau = [c for c in Q_CONDITIONS if c not in CONTENT_CONDITIONS]
     counts = {}
     for content in contents_up_to(max_size, plan.ell):
         if not content_admits(plan, content):
             continue
         for q_cols in enumerate_recording(content):
-            if in_k_set(plan, q_cols):
+            if _all_hold(QContext(plan, q_cols), per_tableau):
                 mu = tuple(len(c) for c in q_cols)
                 counts[mu] = counts.get(mu, 0) + 1
     return counts
@@ -378,7 +364,6 @@ def k_set_via_inverse(plan, q_cols, alphabet):
     """Oracle membership test: pull the recording tableau back through the
     inverse correspondence (against the highest-weight insertion tableau)
     and validate the resulting tuple."""
-    from .osptab import validate
     mu = tuple(len(c) for c in q_cols)  # shape of Q is mu'
     p_heights = conjugate(mu)           # column heights of P
     if p_heights and p_heights[0] > alphabet.size:

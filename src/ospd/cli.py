@@ -22,9 +22,11 @@ USAGE_ERROR = 2
 # box bound of the battery's super closure check
 SUPER_CLOSURE_BOUND = 8
 
-# most contents kcoef may walk: C(bound + ell, ell) contents have at most
-# bound boxes; the pinned kcoef streams need 4,845
-KCOEF_MAX_CONTENTS = 10 ** 6
+# most cells kcoef may build, counted as bound times the recording tableaux
+# of at most bound boxes: at the cap the slowest plans take 1.5 s (ell=1) and
+# 0.7 s (ell=2) on a Xeon core, Python 3.11; D4 (2,2) ell=4 -m 5 (26,546,520
+# cells) took 1.2 s, -m 7 13 s; the pinned kcoef streams need 4,452,448
+KCOEF_MAX_CELLS = 10 ** 7
 
 # most tableaux a classical enumerate, graph or char may build without
 # --max-boxes; the largest in the tests and benchmark is D5 (2,2) ell=4, 4,125
@@ -136,14 +138,26 @@ def cmd_char(args):
     return 0
 
 
+def _kcoef_cells(bound, ell):
+    """Bound times the semistandard tableaux with entries in 1..ell and at
+    most bound boxes, summed until it passes KCOEF_MAX_CELLS: by RSK they
+    are the symmetric natural ell x ell matrices with k units above the
+    diagonal and up to bound - 2k on it."""
+    pairs, total = comb(ell, 2), comb(ell + bound, ell)
+    for k in range(1, bound // 2 + 1 if pairs else 1):
+        if bound * total > KCOEF_MAX_CELLS:
+            break
+        total += comb(pairs + k - 1, k) * comb(ell + bound - 2 * k, ell)
+    return bound * total
+
+
 def cmd_kcoef(args):
     alphabet, plan = _config(args)
     bound = osptab.box_bound(plan, alphabet, args.max_boxes)
-    contents = comb(bound + plan.ell, plan.ell)
-    if contents > KCOEF_MAX_CONTENTS:
-        raise RejectError("kcoef up to %d boxes would walk %d contents, more "
-                          "than %d; lower --max-boxes"
-                          % (bound, contents, KCOEF_MAX_CONTENTS))
+    if _kcoef_cells(bound, plan.ell) > KCOEF_MAX_CELLS:
+        raise RejectError("kcoef up to %d boxes may build recording tableaux "
+                          "of more than %d cells; lower --max-boxes"
+                          % (bound, KCOEF_MAX_CELLS))
     table = character.k_coefficients(plan, bound)
     out = [{"mu": list(mu), "K": k} for mu, k in sorted(table.items())]
     _write(args, json.dumps(out) + "\n")

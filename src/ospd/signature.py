@@ -156,28 +156,36 @@ def gl_f_matrix(matrix, i):
 # ---------------------------------------------------------------------------
 # recording tableaux over {1..ell}
 
-def tableau_word(q_cols):
-    """Column reading word of a column-major tableau, with cell coordinates."""
-    out = []
+def _letter_signs(q_cols, i):
+    """The (row, column) cells of i and i + 1 in column reading order, and
+    their signs, '+' for i: the other letters are dots, which never change
+    a reduction, and a column holds each at most once, i above i + 1."""
+    cells, signs = [], []
     for j in range(len(q_cols) - 1, -1, -1):
-        out.extend(((i, j), q_cols[j][i]) for i in range(len(q_cols[j])))
-    return out
+        col = q_cols[j]
+        if i in col:
+            cells.append((col.index(i), j))
+            signs.append(PLUS)
+        if i + 1 in col:
+            cells.append((col.index(i + 1), j))
+            signs.append(MINUS)
+    return cells, signs
 
 
 def sigma_tableau(q_cols, i):
-    return sigma_word([e for _, e in tableau_word(q_cols)], i)
+    return signature_of(_letter_signs(q_cols, i)[1])
 
 
 def _tableau_power(q_cols, i, op, k):
     if not k:
         return q_cols
-    pairs = tableau_word(q_cols)
-    hit = acted_on(_word_symbols([e for _, e in pairs], i), op, k)
+    cells, signs = _letter_signs(q_cols, i)
+    hit = acted_on(signs, op, k)
     if hit is None:
         return None
     cols = [list(c) for c in q_cols]
     for idx in hit:
-        (row, j), _ = pairs[idx]
+        row, j = cells[idx]
         cols[j][row] = i if op == "e" else i + 1
     return tuple(tuple(c) for c in cols)
 

@@ -174,7 +174,9 @@ FAULTS = {
         q9_always_true,
         ("schur-pieri-classical-4-0-(2,)-2",),
         (INVERSE_ORACLE,
-         "test_character::test_schur_expansion_classical_exact")),
+         "test_character::test_schur_expansion_classical_exact",
+         "test_branching_graph::"
+         "test_restricted_sources_are_the_branching_coefficients")),
     "content-packing-base-one-short": Fault(
         content_packing_base_one_short,
         ("schur-pieri-super-2-2-(1, 1)-2",),

@@ -2,9 +2,10 @@ import pytest
 
 from ospd import explore, make_alphabet, shape_plan, verify_pieri, weyl_dim_D
 from ospd.alphabet import Weight
-from ospd.character import (content_admits, contents_up_to,
-                            enumerate_recording, enumerate_ssyt, in_k_set,
-                            k_coefficients, k_from_character,
+from ospd.character import (CONTENT_CONDITIONS, QContext, content_admits,
+                            contents_up_to, enumerate_recording,
+                            enumerate_ssyt, in_k_set, k_coefficients,
+                            k_from_character, q1, q2, q7, q8,
                             k_set_via_inverse, s_character,
                             schur_expansion_matches, super_schur)
 from ospd.osptab import RejectError, enumerate_tableaux
@@ -168,15 +169,35 @@ def test_k_membership_matches_inverse_oracle():
 
 
 def test_content_filter_only_prunes():
+    # k_coefficients decides the content clauses once per content and tests
+    # each tableau only against the others: no tableau of a cut content is
+    # in the set, every tableau of an admitted content satisfies them, and
+    # the table equals in_k_set counted over every recording tableau
+    assert CONTENT_CONDITIONS == (q1, q2, q7, q8)
     plans = [(shape_plan(lam, ell), 5) for lam, ell in MEMBERSHIP_PLANS]
     plans.append((shape_plan((2, 2), 4), 8))
-    pruned = []
+    assert [plan.r for plan, _ in plans] == [0, 1, 0, 1, 0]
+    assert {plan.sign for plan, _ in plans} == {"+", "-"}
+    pruned, admitted = [], []
     for plan, total in plans:
-        cut = [q_cols for q_cols in all_recording(total, plan.ell)
-               if not content_admits(plan, content_of(q_cols, plan.ell))]
-        assert not any(in_k_set(plan, q_cols) for q_cols in cut)
-        pruned.append(len(cut))
+        cut = kept = 0
+        brute = {}
+        for q_cols in all_recording(total, plan.ell):
+            if not content_admits(plan, content_of(q_cols, plan.ell)):
+                assert not in_k_set(plan, q_cols)
+                cut += 1
+                continue
+            ctx = QContext(plan, q_cols)
+            assert q1(ctx) and q2(ctx) and q7(ctx) and q8(ctx)
+            kept += 1
+            if in_k_set(plan, q_cols):
+                mu = tuple(len(c) for c in q_cols)
+                brute[mu] = brute.get(mu, 0) + 1
+        assert k_coefficients(plan, total) == brute
+        pruned.append(cut)
+        admitted.append((kept, sum(brute.values())))
     assert pruned == [26, 131, 28, 128, 4054]
+    assert admitted == [(8, 6), (9, 3), (6, 4), (12, 4), (137, 9)]
 
 
 def test_middle_column_parity_is_needed():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospd import cli, make_alphabet, osptab
+from ospd.character import contents_up_to, enumerate_recording
 
 from faults import FAULTS
 
@@ -261,6 +263,25 @@ def test_usage_errors_exit_2(args, message, tmp_path):
     code, out, err = run_cli(*(a.replace(MISSING, missing) for a in args))
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_kcoef_refuses_a_walk_of_minutes_at_once():
+    # 135,751 contents of at most 40 boxes: a walk of minutes
+    start = time.perf_counter()
+    code, out, err = run_cli("kcoef", "-m", "10", "--lambda", "2,2",
+                             "--ell", "4")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "lower --max-boxes" in err
+
+
+def test_kcoef_cells_count_the_tableaux_walked():
+    for ell in range(1, 5):
+        for bound in range(9):
+            walked = sum(len(enumerate_recording(content))
+                         for content in contents_up_to(bound, ell))
+            assert cli._kcoef_cells(bound, ell) == bound * walked
+    # the sum stops once it passes the cap: the full one is over 10**90
+    assert cli.KCOEF_MAX_CELLS < cli._kcoef_cells(10 ** 9, 4) < 10 ** 50
 
 
 def test_output_file_gets_the_stdout_bytes(tmp_path):

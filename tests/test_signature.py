@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ospd import make_alphabet, rsk
 from ospd.alphabet import EVEN
+from ospd.character import contents_up_to, enumerate_recording
 from ospd.osptab import all_columns
 from ospd.signature import (Signature, gl_e_matrix, gl_e_tableau,
                             gl_f_matrix, gl_f_tableau, merged_pair_word,
@@ -183,6 +184,47 @@ def test_rsk_is_bicrystal_morphism(rng, sup22):
                     p2, q2 = rsk(moved)
                     assert p2 == p
                     assert q2 == qop(q, i, k)
+
+
+def _full_reading_word(q_cols, i):
+    """Every cell of a tableau in column reading order (the rightmost column
+    first, each column downwards), and its sign at colour i: '+' for i, '-'
+    for i + 1 and a dot for every other letter."""
+    cells = [(row, j) for j in range(len(q_cols) - 1, -1, -1)
+             for row in range(len(q_cols[j]))]
+    return cells, ["+" if q_cols[j][row] == i else
+                   "-" if q_cols[j][row] == i + 1 else "." for row, j in cells]
+
+
+def _reference_power(q_cols, i, op, k):
+    cells, word = _full_reading_word(q_cols, i)
+    minus, plus = survivors(word)
+    hit = minus[len(minus) - k:] if op == "e" else plus[:k]
+    if len(hit) < k:
+        return None
+    cols = [list(c) for c in q_cols]
+    for idx in hit:
+        row, j = cells[idx]
+        cols[j][row] = i if op == "e" else i + 1
+    return tuple(tuple(c) for c in cols)
+
+
+def test_tableau_signatures_match_the_full_reading_word(rng):
+    # the library reads only the cells of i and i + 1; the reference reads
+    # every cell, the others as dots
+    tabs = [q for content in contents_up_to(8, 5)
+            for q in enumerate_recording(content)]
+    moved = 0
+    for q_cols in rng.sample(tabs, 400):
+        for i in range(1, 5):
+            minus, plus = survivors(_full_reading_word(q_cols, i)[1])
+            assert sigma_tableau(q_cols, i) == Signature(len(minus), len(plus))
+            for op, power in (("e", gl_e_tableau), ("f", gl_f_tableau)):
+                for k in range(4):
+                    image = power(q_cols, i, k)
+                    assert image == _reference_power(q_cols, i, op, k)
+                    moved += k == 3 and image is not None
+    assert moved > 100
 
 
 def test_dispatch():
