@@ -12,8 +12,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .osptab import (RejectError, _packing, _Table, all_columns, box_bound,
-                     content_weigher, enumerate_tableaux, matrix_to_tuple,
-                     tuple_to_matrix, validate)
+                     content_weigher, enumerate_tableaux, expected_kinds,
+                     parts_from_columns, tuple_to_matrix, validate)
 from .signature import Signature, gl_e_tableau, gl_f_tableau, sigma_tableau
 from .tableau import (conjugate, inverse_rsk, is_partition, row_pair_ok, rsk,
                       straight_is_semistandard)
@@ -372,7 +372,7 @@ def k_set_via_inverse(plan, q_cols, alphabet):
                    for h in p_heights)
     try:
         matrix = inverse_rsk(p_cols, q_cols, ell=plan.ell)
-        validate(matrix_to_tuple(matrix, plan).parts, plan)
+        validate(parts_from_columns(expected_kinds(plan), matrix.cols), plan)
         return True
     except (RejectError, ValueError):
         return False

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from .alphabet import Weight, simple_root_delta, simple_root_indices
 from .osptab import (OspTableauD, RejectError, _Table, content_weigher,
                      enumerate_tableaux, expected_kinds, highest_ssyt_cols,
-                     parts_cols, parts_from_columns, slot_of, tuple_to_json,
-                     tuple_to_matrix)
+                     parts_cols, parts_from_columns, plan_to_json, slot_of,
+                     tuple_to_json, tuple_to_matrix)
 from .signature import MINUS, PLUS, survivors
 from .tableau import column_is_valid
 
@@ -204,7 +204,6 @@ class CrystalGraph:
     alphabet: object
     family: str
     plan: object
-    max_boxes: object
     vertices: list
     weights: list
     edges: list = field(default_factory=list)       # (src, color name, dst)
@@ -231,7 +230,7 @@ def explore(plan, alphabet, family, max_boxes=None):
     of its components' levels, with one Weight per distinct content.
     """
     vertices = enumerate_tableaux(plan, alphabet, max_boxes)
-    graph = CrystalGraph(alphabet, family, plan, max_boxes, vertices, [])
+    graph = CrystalGraph(alphabet, family, plan, vertices, [])
     cols = [parts_cols(t.parts) for t in vertices]
     index = {c: i for i, c in enumerate(cols)}
     colors = simple_root_indices(alphabet)
@@ -319,8 +318,7 @@ def f_reachable(graph, start):
 def graph_to_json(graph):
     return {
         "family": graph.family,
-        "plan": tuple_to_json(graph.vertices[0])["plan"] if graph.vertices
-                else None,
+        "plan": plan_to_json(graph.plan) if graph.vertices else None,
         "vertices": [tuple_to_json(t) for t in graph.vertices],
         "edges": [{"src": s, "color": c, "dst": d} for s, c, d in graph.edges],
         "sources": list(graph.sources),

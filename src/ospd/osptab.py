@@ -21,8 +21,7 @@ from typing import NamedTuple
 from .alphabet import EVEN
 from .signature import MINUS, PLUS, acted_on, merged_pair_word, sigma_pair
 from .tableau import (column_is_valid, conjugate, entry_from_bottom,
-                      is_partition, letters_from_json, letters_to_json,
-                      make_matrix, row_pair_ok)
+                      is_partition, letters_to_json, make_matrix, row_pair_ok)
 
 
 class RejectError(ValueError):
@@ -757,11 +756,6 @@ def tuple_to_matrix(t):
     return make_matrix(parts_cols(t.parts))
 
 
-def matrix_to_tuple(matrix, plan):
-    return OspTableauD(parts_from_columns(expected_kinds(plan), matrix.cols),
-                       plan)
-
-
 def highest_ssyt_cols(alphabet, family, shape):
     """The highest weight tableau of a straight shape, column-major: barred
     letters fill the first rows; below row m the super family places the
@@ -811,67 +805,12 @@ def part_to_json(part):
     return obj
 
 
-def _field(obj, key):
-    if not isinstance(obj, dict) or key not in obj:
-        raise RejectError("JSON object lacks %r" % (key,))
-    return obj[key]
-
-
-def _integer(value, key):
-    if type(value) is not int:  # JSON true reads as a bool, not a count
-        raise RejectError("%r must be an integer, not %r" % (key, value))
-    return value
-
-
-def _list(obj, key):
-    value = _field(obj, key)
-    if not isinstance(value, list):
-        raise RejectError("%r must be a list, not %r" % (key, value))
-    return value
-
-
-def _letters(alphabet, obj, key):
-    names = _list(obj, key)
-    if not all(isinstance(name, str) for name in names):
-        raise RejectError("%r must list letter names, not %r" % (key, names))
-    try:
-        return letters_from_json(alphabet, names)
-    except ValueError as exc:
-        raise RejectError("%r: %s" % (key, exc)) from None
-
-
-def part_from_json(alphabet, obj):
-    kind = _field(obj, "kind")
-    if kind not in ("pair", "bar", "spin"):
-        raise RejectError("unknown component kind %r" % (kind,))
-    if kind == "spin":
-        slot = (kind, _field(obj, "sign"))
-        cols = (_letters(alphabet, obj, "col"),)
-    else:
-        a = _integer(_field(obj, "a"), "a") if kind == "pair" else None
-        slot = (kind, a)
-        cols = (_letters(alphabet, obj, "R"), _letters(alphabet, obj, "L"))
-    return part_from_cols(slot, cols)
-
-
 def plan_to_json(plan):
     return {"lambda": list(plan.lam), "ell": plan.ell, "sign": plan.sign,
             "q": plan.q, "r": plan.r, "M": plan.M, "L": plan.L,
             "heights": list(plan.heights)}
 
 
-def plan_from_json(obj):
-    lam = _list(obj, "lambda")
-    return shape_plan(tuple(_integer(x, "lambda") for x in lam),
-                      _integer(_field(obj, "ell"), "ell"))
-
-
 def tuple_to_json(t):
     return {"plan": plan_to_json(t.plan),
             "parts": [part_to_json(p) for p in t.parts]}
-
-
-def tuple_from_json(alphabet, obj):
-    plan = plan_from_json(_field(obj, "plan"))
-    parts = tuple(part_from_json(alphabet, p) for p in _list(obj, "parts"))
-    return validate(parts, plan, alphabet)

@@ -244,7 +244,3 @@ def inverse_rsk(p_cols, q_cols, ell=None):
 
 def letters_to_json(letters):
     return [a.name for a in letters]
-
-
-def letters_from_json(alphabet, names):
-    return tuple(alphabet.parse(s) for s in names)

@@ -18,14 +18,9 @@ LIBRARY = sorted(p for p in (ROOT / "src" / "ospd").glob("*.py")
                  if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-ALLOWED = {
-    # reference oracles that the tests compare the library against
-    "is_admissible_sigma", "valid_slide_offsets", "k_set_via_inverse",
-    "k_from_character", "gl_f_matrix",
-    # readers of what the CLI writes: tableaux, and colour names in the
-    # graph JSON
-    "tuple_from_json", "parse_root_index",
-}
+# reference oracles that the tests compare the library against, and that
+# nothing in the library or the demos calls
+ALLOWED = {"is_admissible_sigma", "gl_f_matrix"}
 
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -66,6 +61,13 @@ def test_every_definition_has_a_caller():
 def test_allowlist_names_existing_definitions():
     definitions, _ = scan()
     assert ALLOWED <= {name for _, name in definitions}
+
+
+def test_allowlist_names_only_uncalled_definitions():
+    _, references = scan()
+    called = sorted(name for name in ALLOWED
+                    if references.get(name, set()) - {name})
+    assert not called, "allowlisted but called, drop from ALLOWED: %s" % called
 
 
 def test_library_rewrites_no_module_state():

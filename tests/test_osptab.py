@@ -2,8 +2,6 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ospd import (classify_pair, enumerate_tableaux, is_admissible,
                   lr_split, make_alphabet, shape_plan, star_split, tableau,
@@ -12,8 +10,8 @@ from ospd.osptab import (OspPair, OspTableauD, RejectError, SpinColumn,
                          _part_sort_key, all_columns, column_count,
                          expected_kinds, highest_weight_tuple,
                          is_admissible_sigma, lr_split_sliding, make_bar_pair,
-                         osp_pairs, part_from_cols, spin_columns,
-                         star_split_sliding, tuple_from_json, tuple_to_json,
+                         osp_pairs, part_from_cols, plan_to_json,
+                         spin_columns, star_split_sliding, tuple_to_json,
                          valid_slide_offsets)
 from ospd.signature import sigma_pair
 from ospd.tableau import column_is_valid
@@ -329,14 +327,6 @@ def test_spin_slot_rejects_wrong_sign_and_invalid_columns(cl40):
     plan = shape_plan((), 1, cl40)
     with pytest.raises(RejectError):
         validate([SpinColumn((b4,))], plan, cl40)
-    blob = tuple_to_json(OspTableauD((SpinColumn((b4, b3)),), plan))
-    assert tuple_from_json(cl40, blob).parts == (SpinColumn((b4, b3)),)
-    blob["parts"][0]["sign"] = "-"
-    with pytest.raises(RejectError):
-        tuple_from_json(cl40, blob)
-    blob["parts"][0]["kind"] = "column"
-    with pytest.raises(RejectError):
-        tuple_from_json(cl40, blob)
 
 
 def test_enumerate_spin_level_one(cl40):
@@ -466,76 +456,11 @@ def test_enumerate_super_requires_bound(sup22):
         enumerate_tableaux(shape_plan((1,), 1, sup22), sup22)
 
 
-def test_tuple_json_roundtrip(sup22):
+def test_tuple_json_lines_identify_their_tableaux(sup22):
+    # an `enumerate` line names its tableau: distinct tableaux, distinct lines
     plan = shape_plan((1,), 1, sup22)
-    for t in enumerate_tableaux(plan, sup22, 5):
-        blob = json.dumps(tuple_to_json(t), sort_keys=True)
-        assert tuple_from_json(sup22, json.loads(blob)) == t
-
-
-def _drop(obj, key):
-    del obj[key]
-
-
-JSON_EDITS = {
-    "a-string": (lambda b: b["parts"][0].update(a="2"), "'a' must be"),
-    "a-bool": (lambda b: b["parts"][0].update(a=True), "'a' must be"),
-    "a-missing": (lambda b: _drop(b["parts"][0], "a"), "lacks 'a'"),
-    "kind-missing": (lambda b: _drop(b["parts"][0], "kind"), "lacks 'kind'"),
-    "col-missing": (lambda b: _drop(b["parts"][1], "col"), "lacks 'col'"),
-    "ell-string": (lambda b: b["plan"].update(ell="3"), "'ell' must be"),
-    "ell-bool": (lambda b: b["plan"].update(ell=True), "'ell' must be"),
-    "ell-missing": (lambda b: _drop(b["plan"], "ell"), "lacks 'ell'"),
-    "lambda-string": (lambda b: b["plan"].update({"lambda": ["2", 1]}),
-                      "'lambda' must be"),
-    "lambda-bool": (lambda b: b["plan"].update({"lambda": [2, True]}),
-                    "'lambda' must be"),
-    "lambda-missing": (lambda b: _drop(b["plan"], "lambda"),
-                       "lacks 'lambda'"),
-    "lambda-not-list": (lambda b: b["plan"].update({"lambda": "21"}),
-                        "'lambda' must be a list"),
-    "lambda-inner-zero": (lambda b: b["plan"].update({"lambda": [0, 1]}),
-                          "lambda must be a partition"),
-    "R-int": (lambda b: b["parts"][0].update(R=5), "'R' must be a list"),
-    "R-string": (lambda b: b["parts"][0].update(R="b1"), "'R' must be a list"),
-    "parts-int": (lambda b: b.update(parts=5), "'parts' must be a list"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(JSON_EDITS))
-def test_json_reader_rejects_a_bad_field(cl40, case):
-    plan = shape_plan((2, 1), 3, cl40)
-    blob = tuple_to_json(highest_weight_tuple(plan, cl40, "classical"))
-    assert tuple_from_json(cl40, blob).plan == plan
-    edit, reason = JSON_EDITS[case]
-    edit(blob)
-    with pytest.raises(RejectError, match=reason):
-        tuple_from_json(cl40, blob)
-
-
-CL40 = make_alphabet("classical", 4, 0)
-HIGHEST_21_3 = json.dumps(tuple_to_json(highest_weight_tuple(
-    shape_plan((2, 1), 3, CL40), CL40, "classical")))
-
-# arbitrary JSON, and the values a reader expects: letter lists, kinds, signs
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=8) | st.lists(st.sampled_from(
-        ["b4", "b3", "b2", "b1", "1", "2", "3", "4"]), max_size=5) \
-    | st.sampled_from(["pair", "bar", "spin", "+", "-"])
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([(0, "L"), (0, "R"), (0, "kind"), (1, "col"),
-                        (1, "kind"), (1, "sign")]), JSON_VALUES)
-def test_json_reader_raises_only_reject_error(field, value):
-    # parts[0] of this tableau is a pair and parts[1] a spin column
-    blob = json.loads(HIGHEST_21_3)
-    index, key = field
-    blob["parts"][index][key] = value
-    try:
-        tuple_from_json(CL40, blob)
-    except RejectError:
-        pass
+    rows = enumerate_tableaux(plan, sup22, 5)
+    lines = [json.dumps(tuple_to_json(t), sort_keys=True) for t in rows]
+    assert len(set(rows)) == len(set(lines)) == len(rows) > 1
+    assert all(json.loads(line)["plan"] == plan_to_json(plan)
+               for line in lines)
